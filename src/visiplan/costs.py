@@ -57,8 +57,9 @@ class CostWeights:
     w_v: float = 2.0
 
     def __post_init__(self):
-        if any(v < 0 for v in asdict(self).values()):
-            raise ValueError("weights must be nonnegative")
+        for name, v in asdict(self).items():
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def baseline(self) -> "CostWeights":
         """Visibility-blind variant: DO/AO/OE/safe-tracking zeroed."""
@@ -76,8 +77,9 @@ class DynamicLimits:
     psi_thr: float = 0.6
 
     def __post_init__(self):
-        if any(v <= 0 for v in asdict(self).values()):
-            raise ValueError("limits must be positive")
+        for name, v in asdict(self).items():
+            if v <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -152,30 +152,70 @@ def load_grid(path, resolution: float | None = None,
 class ESDFField:
     """Truncated distance-to-nearest-obstacle samples over a grid.
 
-    Immutable after build; safe to share across planner instances.
+    Immutable after build (`distance` is read-only); safe to share across
+    planner instances.
     """
 
     grid: OccupancyGrid
     distance: np.ndarray = field(repr=False)
     d_trunc: float
 
+    def __post_init__(self):
+        self.distance = np.asarray(self.distance, dtype=np.float64)
+        self.distance.setflags(write=False)
+        n = np.asarray(self.grid.dims)
+        self._flat = self.distance.reshape(-1)
+        # per-axis column vectors, broadcast against (3, N) coordinates
+        self._hi = (n - 1).astype(np.float64)[:, None]
+        self._i0_max = np.maximum(n - 2, 0).astype(np.float64)[:, None]
+        self._strides = strides = np.array([n[1] * n[2], n[2], 1],
+                                           dtype=np.float64)
+        # flat offsets of the 8 interpolation corners, x fastest (c000, c100,
+        # c010, c110, c001, c101, c011, c111); a single-cell axis reuses its
+        # only cell as the upper corner
+        up = (strides * (n > 1)).astype(np.intp)
+        self._corners = np.array([[x * up[0] + y * up[1] + z * up[2]]
+                                  for z in (0, 1) for y in (0, 1)
+                                  for x in (0, 1)], dtype=np.intp)
+
     # --- continuous queries -------------------------------------------------
 
-    def _clamped_cell_coords(self, points: np.ndarray):
-        """Map world points to continuous cell-center coordinates, clamped to
-        the cell-center box. Returns (i0, frac, clamped_mask) per axis.
+    def _lattice(self, pts: np.ndarray):
+        """Corner values (8, N) and fractional offsets (3, N) of each point's
+        interpolation cell, plus the unclamped cell-center coordinates (3, N).
+        Points outside the cell-center box are clamped onto it first.
+        Component-major layout keeps every later operation contiguous.
         """
         g = self.grid
-        u = (points - g.origin) / g.resolution - 0.5
-        n = np.asarray(g.dims)
-        hi = (n - 1).astype(np.float64)
-        clamped = (u < 0.0) | (u > hi)
-        u = np.clip(u, 0.0, hi)
-        i0 = np.minimum(np.floor(u).astype(np.int64), np.maximum(n - 2, 0))
-        frac = u - i0
-        # single-cell axes interpolate trivially within the only cell
-        frac = np.where(n - 1 == 0, 0.0, frac)
-        return i0, frac, clamped
+        u = np.subtract(pts.T, g.origin[:, None], order="C") / g.resolution \
+            - 0.5
+        uc = np.minimum(np.maximum(u, 0.0), self._hi)
+        # on a single-cell axis uc and i0 are both 0, so the offset is too
+        i0 = np.minimum(np.floor(uc), self._i0_max)
+        base = (self._strides @ i0).astype(np.intp)
+        return self._flat[self._corners + base], uc - i0, u
+
+    @staticmethod
+    def _value(c, f, w0):
+        """Trilinear interpolation; `w0` is 1 - f."""
+        # along x, then y, then z: c00 = c000 * (1 - fx) + c100 * fx, ...
+        c = c.reshape(4, 2, -1)
+        c = c[:, 0] * w0[0] + c[:, 1] * f[0]          # c00, c10, c01, c11
+        c = c.reshape(2, 2, -1)
+        c = c[:, 0] * w0[1] + c[:, 1] * f[1]          # c0, c1
+        return c[0] * w0[2] + c[1] * f[2]
+
+    def _gradient(self, c, f, w0, u):
+        """Analytic gradient (N, 3) of the interpolant, zero along any axis
+        where the query lies outside the cell-center box."""
+        # per axis: the four corner differences along it, each weighted by
+        # the other two axes (lower axis first) and summed in corner order
+        w = np.stack([w0, f], axis=1)                     # (3, 2, N)
+        t = (c[_EDGE_HI] - c[_EDGE_LO]) * w[_INNER, None] * w[_OUTER, :, None]
+        grad = (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1]) \
+            * (1.0 / self.grid.resolution)
+        grad[(u < 0.0) | (u > self._hi)] = 0.0
+        return grad.T
 
     def distance_at(self, p) -> float | np.ndarray:
         """Trilinearly interpolated distance at world point(s) p.
@@ -184,11 +224,9 @@ class ESDFField:
         keeps the field total (and flat) outside the map.
         """
         pts = np.asarray(p, dtype=np.float64)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        i0, f, _ = self._clamped_cell_coords(pts)
-        val = self._trilinear(i0, f)
-        return float(val[0]) if scalar else val
+        c, f, _ = self._lattice(pts.reshape(-1, 3))
+        val = self._value(c, f, 1 - f)
+        return float(val[0]) if pts.ndim == 1 else val
 
     def gradient_at(self, p) -> np.ndarray:
         """Spatial gradient of the interpolated distance, zero along any axis
@@ -196,59 +234,26 @@ class ESDFField:
         clamped value function).
         """
         pts = np.asarray(p, dtype=np.float64)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        i0, f, clamped = self._clamped_cell_coords(pts)
-        grad = self._trilinear_grad(i0, f)
-        grad[clamped] = 0.0
-        return grad[0] if scalar else grad
+        c, f, u = self._lattice(pts.reshape(-1, 3))
+        grad = self._gradient(c, f, 1 - f, u)
+        return grad[0] if pts.ndim == 1 else grad
 
     def distance_and_gradient(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """Value and gradient in one pass (shared coordinate handling)."""
-        pts = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        i0, f, clamped = self._clamped_cell_coords(pts)
-        val = self._trilinear(i0, f)
-        grad = self._trilinear_grad(i0, f)
-        grad[clamped] = 0.0
-        return val, grad
+        """Value and gradient in one pass (one corner gather)."""
+        pts = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+        c, f, u = self._lattice(pts)
+        w0 = 1 - f
+        return self._value(c, f, w0), self._gradient(c, f, w0, u)
 
-    def _corner_values(self, i0):
-        flat = self.distance.ravel()
-        nx, ny, nz = self.grid.dims
-        i1 = np.minimum(i0 + 1, np.array([nx - 1, ny - 1, nz - 1]))
-        x0 = i0[:, 0] * (ny * nz)
-        x1 = i1[:, 0] * (ny * nz)
-        y0 = i0[:, 1] * nz
-        y1 = i1[:, 1] * nz
-        z0, z1 = i0[:, 2], i1[:, 2]
-        return (flat[x0 + y0 + z0], flat[x1 + y0 + z0],
-                flat[x0 + y1 + z0], flat[x1 + y1 + z0],
-                flat[x0 + y0 + z1], flat[x1 + y0 + z1],
-                flat[x0 + y1 + z1], flat[x1 + y1 + z1])
 
-    def _trilinear(self, i0, f):
-        c000, c100, c010, c110, c001, c101, c011, c111 = self._corner_values(i0)
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        return c0 * (1 - fz) + c1 * fz
-
-    def _trilinear_grad(self, i0, f):
-        c000, c100, c010, c110, c001, c101, c011, c111 = self._corner_values(i0)
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        inv = 1.0 / self.grid.resolution
-        # d/dx: difference along x, bilinear in (y, z)
-        dx = ((c100 - c000) * (1 - fy) * (1 - fz) + (c110 - c010) * fy * (1 - fz)
-              + (c101 - c001) * (1 - fy) * fz + (c111 - c011) * fy * fz) * inv
-        dy = ((c010 - c000) * (1 - fx) * (1 - fz) + (c110 - c100) * fx * (1 - fz)
-              + (c011 - c001) * (1 - fx) * fz + (c111 - c101) * fx * fz) * inv
-        dz = ((c001 - c000) * (1 - fx) * (1 - fy) + (c101 - c100) * fx * (1 - fy)
-              + (c011 - c010) * (1 - fx) * fy + (c111 - c110) * fx * fy) * inv
-        return np.stack([dx, dy, dz], axis=-1)
+# Corner rows (x fastest, as in ESDFField._corners) for the gradient: entry
+# [axis, outer, inner] is the upper/lower corner of the cell edge along
+# `axis` at offset `outer` along the higher and `inner` along the lower of
+# the other two axes, which are _OUTER and _INNER.
+_EDGE_HI = np.array([[[1, 3], [5, 7]], [[2, 3], [6, 7]], [[4, 5], [6, 7]]])
+_EDGE_LO = np.array([[[0, 2], [4, 6]], [[0, 1], [4, 5]], [[0, 1], [2, 3]]])
+_INNER = np.array([1, 0, 0])
+_OUTER = np.array([2, 2, 1])
 
 
 def build_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
                     VisibilityParams, total_cost)
@@ -104,23 +105,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     traj = initial.copy()
     n = traj.num_control_points
     nf = n - 3                       # free control points per block
-    dt = traj.dt
-
-    # Whiten the stiff fixed quadratics: jerk smoothness carries curvature
-    # ~w/dt^6 and the derivative bounds ~w/dt^2, dwarfing the O(1)
-    # visibility terms and stalling the limited-memory updates. Decision
-    # variables are the control points mapped through the Cholesky factor of
-    # alpha*I + smoothness Hessian + a velocity-bound curvature estimate.
-    # Yaw keeps at least the od_max meters-per-radian conversion via alpha.
-    d3 = _difference_operator(n, 3)[:, 3:] / dt ** 3
-    d1 = _difference_operator(n, 1)[:, 3:] / dt
-    smooth_h = d3.T @ d3
-    feas_h = d1.T @ d1
-    h_q = np.eye(nf) + 2.0 * weights.w_s * smooth_h + 4.0 * weights.w_f * feas_h
-    h_phi = params.od_max ** 2 * np.eye(nf) \
-        + 2.0 * weights.w_s_phi * smooth_h + 4.0 * weights.w_f_phi * feas_h
-    r_q = np.linalg.cholesky(h_q).T         # upper, r.T @ r = h
-    r_phi = np.linalg.cholesky(h_phi).T
+    r_q, r_phi = whitening_factors(n, traj.dt, weights, params.od_max)
 
     def pack(t: TrajectoryBSpline) -> np.ndarray:
         return np.concatenate([(r_q @ t.q[3:]).ravel(), r_phi @ t.phi[3:]])
@@ -214,6 +199,50 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     traj.q[:3] = initial.q[:3]
     traj.phi[:3] = initial.phi[:3]
     return OptimizeResult(traj, best_report, iteration, termination, trace)
+
+
+def whitening_factors(n: int, dt: float, weights: CostWeights,
+                      od_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Cholesky factors (r_q, r_phi), r.T @ r = h, that whiten the
+    free position and yaw control points of an n-point spline.
+
+    Jerk smoothness carries curvature ~w/dt^6 and the derivative bounds
+    ~w/dt^2, dwarfing the O(1) visibility terms and stalling the
+    limited-memory updates. Decision variables are the control points mapped
+    through the Cholesky factor of alpha*I + smoothness Hessian + a
+    velocity-bound curvature estimate. Yaw keeps at least the od_max
+    meters-per-radian conversion via alpha.
+    """
+    nf = n - 3
+    d3 = _difference_operator(n, 3)[:, 3:] / dt ** 3
+    d1 = _difference_operator(n, 1)[:, 3:] / dt
+    smooth_h = d3.T @ d3
+    feas_h = d1.T @ d1
+    h_q = np.eye(nf) + 2.0 * weights.w_s * smooth_h + 4.0 * weights.w_f * feas_h
+    h_phi = od_max ** 2 * np.eye(nf) \
+        + 2.0 * weights.w_s_phi * smooth_h + 4.0 * weights.w_f_phi * feas_h
+    return np.linalg.cholesky(h_q).T, np.linalg.cholesky(h_phi).T
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray,
+                     lower: bool = False) -> np.ndarray:
+    """`scipy.linalg.solve_triangular(a, b, lower=lower)` for float64 `a`
+    and `b`, calling LAPACK with the same arguments but without the
+    wrapper's input validation, which costs several times the solve at the
+    optimizer's sizes. Non-finite input propagates instead of raising."""
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower, trans=0, unitdiag=False,
+                         overwrite_b=False)
+    else:
+        # trtrs expects Fortran order; solve the transposed system instead
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1, unitdiag=False,
+                         overwrite_b=False)
+    if info > 0:
+        raise LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of trtrs")
+    return x
 
 
 def _difference_operator(n: int, order: int) -> np.ndarray:

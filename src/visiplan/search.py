@@ -95,46 +95,91 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
 
     Amanatides & Woo traversal over the cells the segment actually crosses;
     no sampling gaps. Out-of-grid stretches are treated as free space.
+    Runs on Python floats over a flat view of the occupancy: a ray crosses
+    a few dozen cells, where per-call numpy overhead would dominate.
     """
     res = grid.resolution
-    a = (np.asarray(a, dtype=np.float64) - grid.origin) / res
-    b = (np.asarray(b, dtype=np.float64) - grid.origin) / res
+    ox, oy, oz = grid.origin.tolist()
+    ax, ay, az = ((float(a[0]) - ox) / res, (float(a[1]) - oy) / res,
+                  (float(a[2]) - oz) / res)
+    bx, by, bz = ((float(b[0]) - ox) / res, (float(b[1]) - oy) / res,
+                  (float(b[2]) - oz) / res)
     nx, ny, nz = grid.dims
-    occ = grid.occupancy
+    occ = memoryview(grid.occupancy.reshape(-1))
+    i, j, k = math.floor(ax), math.floor(ay), math.floor(az)
 
-    d = b - a
-    length = math.sqrt(float(d @ d))
-    if length < 1e-12:
-        i, j, k = (int(math.floor(v)) for v in a)
-        return 0 <= i < nx and 0 <= j < ny and 0 <= k < nz and bool(occ[i, j, k])
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    if math.sqrt(dx * dx + dy * dy + dz * dz) < 1e-12:
+        return (0 <= i < nx and 0 <= j < ny and 0 <= k < nz
+                and bool(occ[(i * ny + j) * nz + k]))
 
-    cell = [int(math.floor(v)) for v in a]
-    step = [0, 0, 0]
-    t_max = [math.inf] * 3
-    t_delta = [math.inf] * 3
-    for ax in range(3):
-        if d[ax] > 1e-15:
-            step[ax] = 1
-            t_max[ax] = (cell[ax] + 1.0 - a[ax]) / d[ax]
-            t_delta[ax] = 1.0 / d[ax]
-        elif d[ax] < -1e-15:
-            step[ax] = -1
-            t_max[ax] = (cell[ax] - a[ax]) / d[ax]
-            t_delta[ax] = -1.0 / d[ax]
+    # per axis: cell step, ray parameter of the next cell face, face spacing
+    sx, tx, dtx = _dda_axis(i, ax, dx)
+    sy, ty, dty = _dda_axis(j, ay, dy)
+    sz, tz, dtz = _dda_axis(k, az, dz)
 
+    if sz == 0:
+        if not 0 <= k < nz:
+            return False        # the whole segment runs above or below the grid
+        # The traversal never leaves the box of the end cells grown by one
+        # cell (it may cross the face of b's cell that b lies on), so ends at
+        # least one cell inside the grid need no bounds checks.
+        fi = math.floor(bx) if sx else i
+        fj = math.floor(by) if sy else j
+        if (0 < i < nx - 1 and 0 < fi < nx - 1 and 0 < j < ny - 1
+                and 0 < fj < ny - 1):
+            idx = (i * ny + j) * nz + k
+            step_x, step_y = sx * ny * nz, sy * nz
+            while True:
+                if occ[idx]:
+                    return True
+                if ty < tx:
+                    if ty > 1.0:
+                        return False
+                    idx += step_y
+                    ty += dty
+                else:
+                    if tx > 1.0:
+                        return False
+                    idx += step_x
+                    tx += dtx
+
+    # ties go to the lowest axis: x, then y, then z
     while True:
-        i, j, k = cell
-        if 0 <= i < nx and 0 <= j < ny and 0 <= k < nz and occ[i, j, k]:
+        if (0 <= i < nx and 0 <= j < ny and 0 <= k < nz
+                and occ[(i * ny + j) * nz + k]):
             return True
-        ax = 0
-        if t_max[1] < t_max[ax]:
-            ax = 1
-        if t_max[2] < t_max[ax]:
-            ax = 2
-        if t_max[ax] > 1.0:
-            return False
-        cell[ax] += step[ax]
-        t_max[ax] += t_delta[ax]
+        if ty < tx:
+            if tz < ty:
+                if tz > 1.0:
+                    return False
+                k += sz
+                tz += dtz
+            else:
+                if ty > 1.0:
+                    return False
+                j += sy
+                ty += dty
+        elif tz < tx:
+            if tz > 1.0:
+                return False
+            k += sz
+            tz += dtz
+        else:
+            if tx > 1.0:
+                return False
+            i += sx
+            tx += dtx
+
+
+def _dda_axis(cell: int, start: float, delta: float):
+    """(step, first face parameter, face spacing) along one axis; an axis
+    the segment does not advance along never steps."""
+    if delta > 1e-15:
+        return 1, (cell + 1.0 - start) / delta, 1.0 / delta
+    if delta < -1e-15:
+        return -1, (cell - start) / delta, -1.0 / delta
+    return 0, math.inf, math.inf
 
 
 def _bang_bang_time(dist: float, v: float, v_max: float, a_max: float) -> float:
@@ -202,6 +247,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
     acc_tau = accels * tau
+    acc_arc = 0.5 * accels * tau * tau
     step_cost = tau * (1.0 + cfg.effort_weight
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
     max_time = cfg.horizon_slack * horizon + 1e-9
@@ -256,9 +302,6 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     n0 = np.linalg.norm(u0)
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
-    def follow_point(t):
-        return np.asarray(target_at(t), dtype=np.float64) + standoff * u0
-
     sighted0 = not cfg.occlusion_check or \
         not raycast_occluded(grid, p0, c0)
     root = SearchNode(p0, v0, 0.0, 0.0, sighted=sighted0)
@@ -299,43 +342,46 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
         # all successors at once
         v_batch = node.velocity[None, :] + acc_tau                  # (A, 3)
-        ok = (v_batch * v_batch).sum(axis=1) <= v_m2
+        ok = ((v_batch * v_batch).sum(axis=1) <= v_m2).tolist()
         p_batch = node.position[None, :] + node.velocity * tau \
-            + 0.5 * accels * tau * tau                              # (A, 3)
+            + acc_arc                                               # (A, 3)
         deviation = tau * np.sqrt(((p_batch - ref_next) ** 2).sum(axis=1))
-        track_cost = cfg.tracking_weight * deviation
-        key_ints = np.rint(np.concatenate(
-            [p_batch * inv_prune, v_batch * inv_vq], axis=1)).astype(np.int64)
-        key_rows = key_ints.tolist()
+        g_batch = (node.cost + step_cost
+                   + cfg.tracking_weight * deviation).tolist()
+        key_rows = np.rint(np.concatenate(
+            [p_batch * inv_prune, v_batch * inv_vq], axis=1)
+            ).astype(np.int64).tolist()
 
         # cheap pruning before geometry: drop closed/worse states
         if node.sighted:
-            for i in range(len(key_rows)):
+            for i, row in enumerate(key_rows):
                 if not ok[i]:
                     continue
-                k_sighted = (*key_rows[i], layer, True)
+                k_sighted = (*row, layer, True)
                 prev = best_g.get(k_sighted)
-                if k_sighted in closed or (prev is not None and prev <=
-                                           node.cost + step_cost[i]
-                                           + track_cost[i]):
+                if k_sighted in closed or (prev is not None
+                                           and prev <= g_batch[i]):
                     ok[i] = False
-        if not ok.any():
+        live = [i for i, keep in enumerate(ok) if keep]
+        if not live:
             continue
 
         # clearance along every surviving primitive arc in one field query
         segs = node.position[None, None, :] \
-            + np.outer(samp_t, node.velocity)[None, :, :] + samp_acc
-        live = np.nonzero(ok)[0]
-        dist = esdf.distance_at(segs[live].reshape(-1, 3))
-        dist = dist.reshape(live.size, -1).min(axis=1)
+            + np.outer(samp_t, node.velocity)[None, :, :] + samp_acc[live]
+        dist = esdf.distance_at(segs.reshape(-1, 3))
+        dist = dist.reshape(len(live), -1).min(axis=1).tolist()
 
+        # scalar work per successor runs on Python floats
+        p_rows, v_rows = p_batch.tolist(), v_batch.tolist()
+        dev_rows = deviation.tolist()
+        c_row = c_next.tolist()
         for idx, i in enumerate(live):
             if dist[idx] <= clearance:
                 continue
-            p_new, v_new = p_batch[i], v_batch[i]
-            g_new = node.cost + step_cost[i] + track_cost[i]
+            g_new = g_batch[i]
             if cfg.occlusion_check:
-                occluded = raycast_occluded(grid, p_new, c_next)
+                occluded = raycast_occluded(grid, p_rows[i], c_row)
                 if node.sighted and occluded:
                     continue
                 sighted = node.sighted or not occluded
@@ -348,10 +394,10 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             if prev is not None and prev <= g_new:
                 continue
             best_g[nkey] = g_new
-            dev_new = node.deviation + deviation[i]
-            child = SearchNode(p_new, v_new, t_next, g_new, node,
+            dev_new = node.deviation + dev_rows[i]
+            child = SearchNode(p_batch[i], v_batch[i], t_next, g_new, node,
                                accels[i], sighted, dev_new)
-            f = g_new + heuristic(p_new, v_new, t_next)
+            f = g_new + heuristic(p_rows[i], v_rows[i], t_next)
             heapq.heappush(open_heap, (f, dev_new, nkey, next(counter), child))
 
     raise SearchExhausted(

@@ -9,6 +9,7 @@ the FOV cone -- latched), or when the planner has nothing left to execute.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -236,6 +237,59 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+_REQUIRED = object()
+
+
+def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float):
+    """d[key] (or `default` when absent) converted by `kind` (float or int);
+    a value that does not convert is a ScenarioError naming the field."""
+    value = _require(d, key, ctx) if default is _REQUIRED \
+        else d.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(
+            f"scenario field '{_field_name(ctx, key)}' must be "
+            f"{'an integer' if kind is int else 'a number'}, got {value!r}"
+        ) from e
+
+
+def _vector(d: dict, key: str, ctx: str, default=_REQUIRED) -> np.ndarray:
+    """d[key] (or `default` when absent) as a float 3-vector; anything else
+    is a ScenarioError naming the field."""
+    value = _require(d, key, ctx) if default is _REQUIRED \
+        else d.get(key, default)
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (3,):
+        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
+                            f"be a list of 3 numbers, got {value!r}")
+    return vec
+
+
+def _field_name(ctx: str, key: str) -> str:
+    return key if ctx == "scenario" else f"{ctx}.{key}"
+
+
+def _config(cls, raw: dict, section: str, defaults: dict | None = None):
+    """The config dataclass `cls` built from scenario section `section`
+    over `defaults`; unknown or invalid fields are a ScenarioError naming
+    the section and the field."""
+    given = raw.get(section, {})
+    if not isinstance(given, dict):
+        raise ScenarioError(f"scenario field '{section}' must be an object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in given:
+        if key not in known:
+            raise ScenarioError(f"unknown scenario field '{section}.{key}'")
+    try:
+        return cls(**{**(defaults or {}), **given})
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"scenario section '{section}': {e}") from e
+
+
 def load_scenario(path, mode: str = "visibility",
                   seed: int | None = None) -> Scenario:
     path = Path(path)
@@ -252,50 +306,58 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     if mode not in ("visibility", "baseline"):
         raise ScenarioError(f"unknown mode '{mode}'")
-    eff_seed = int(seed if seed is not None else raw.get("seed", 0))
+    eff_seed = int(seed) if seed is not None \
+        else _number(raw, "seed", "scenario", 0, int)
 
-    limits = DynamicLimits(**raw.get("limits", {}))
-    params = VisibilityParams(**raw.get("params", {}))
-    weights = CostWeights(**raw.get("weights", {}))
-    search_cfg = SearchConfig(**raw.get("search", {}))
-    opt_raw = {"max_iterations": 30, "wall_clock_budget": None}
-    opt_raw.update(raw.get("optimizer", {}))
-    opt_cfg = OptimizerConfig(**opt_raw)
+    limits = _config(DynamicLimits, raw, "limits")
+    params = _config(VisibilityParams, raw, "params")
+    weights = _config(CostWeights, raw, "weights")
+    search_cfg = _config(SearchConfig, raw, "search")
+    opt_cfg = _config(OptimizerConfig, raw, "optimizer",
+                      {"max_iterations": 30, "wall_clock_budget": None})
 
     grid = _load_map(_require(raw, "map", "scenario"), base_dir, eff_seed, raw)
-    d_trunc = float(raw.get("d_trunc", 5.0))
-    esdf = build_esdf(grid, d_trunc)
+    d_trunc = _number(raw, "d_trunc", "scenario", 5.0)
+    try:
+        esdf = build_esdf(grid, d_trunc)
+    except GridError as e:
+        raise ScenarioError(f"scenario field 'd_trunc': {e}") from e
 
     rs = _require(raw, "robot_start", "scenario")
     start = RobotState(
-        np.asarray(_require(rs, "p", "robot_start"), float),
-        np.asarray(rs.get("v", [0.0, 0.0, 0.0]), float),
-        np.asarray(rs.get("a", [0.0, 0.0, 0.0]), float),
-        float(rs.get("yaw", 0.0)), float(rs.get("yaw_rate", 0.0)))
+        _vector(rs, "p", "robot_start"),
+        _vector(rs, "v", "robot_start", [0.0, 0.0, 0.0]),
+        _vector(rs, "a", "robot_start", [0.0, 0.0, 0.0]),
+        _number(rs, "yaw", "robot_start", 0.0),
+        _number(rs, "yaw_rate", "robot_start", 0.0))
 
     tgt = _require(raw, "target", "scenario")
+    duration = _number(raw, "duration", "scenario")
     pr = raw.get("predict", {})
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
         start=start,
         target=_load_target(tgt, esdf, eff_seed, raw),
-        fov_h_half=math.radians(float(raw.get("fov_h_deg", 80.0)) / 2.0),
-        fov_v_half=math.radians(float(raw.get("fov_v_deg", 65.0)) / 2.0),
-        replan_period=float(raw.get("replan_period", 0.1)),
-        duration=float(_require(raw, "duration", "scenario")),
-        horizon=float(raw.get("horizon", 3.0)),
-        search_horizon=(float(raw["search_horizon"])
+        fov_h_half=math.radians(
+            _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
+        fov_v_half=math.radians(
+            _number(raw, "fov_v_deg", "scenario", 65.0) / 2.0),
+        replan_period=_number(raw, "replan_period", "scenario", 0.1),
+        duration=duration,
+        horizon=_number(raw, "horizon", "scenario", 3.0),
+        search_horizon=(_number(raw, "search_horizon", "scenario")
                         if "search_horizon" in raw else None),
-        num_control_points=int(raw.get("num_control_points", 33)),
-        pose_noise_sigma=float(raw.get("pose_noise_sigma", 0.0)),
+        num_control_points=_number(raw, "num_control_points", "scenario",
+                                   33, int),
+        pose_noise_sigma=_number(raw, "pose_noise_sigma", "scenario", 0.0),
         seed=eff_seed,
         limits=limits, params=params, weights=weights,
         search_config=search_cfg, optimizer_config=opt_cfg,
-        predict_degree=int(pr.get("degree", 3)),
-        predict_ridge=float(pr.get("ridge", 1e-4)),
-        predict_window=float(pr.get("window", 2.0)),
-        predict_v_max=float(pr.get("v_max", 2.5)),
+        predict_degree=_number(pr, "degree", "predict", 3, int),
+        predict_ridge=_number(pr, "ridge", "predict", 1e-4),
+        predict_window=_number(pr, "window", "predict", 2.0),
+        predict_v_max=_number(pr, "v_max", "predict", 2.5),
         mode=mode,
         d_trunc=d_trunc,
     )
@@ -323,13 +385,13 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
         if "random" in raw.get("target", {}):
             keep_clear.append(raw["target"]["random"]["start"])
         return generate_random_forest(
-            seed=int(g.get("seed", seed)),
+            seed=_number(g, "seed", "map.generator", seed, int),
             area=_require(g, "area", "map.generator"),
-            count=int(_require(g, "count", "map.generator")),
+            count=_number(g, "count", "map.generator", kind=int),
             radius_range=_require(g, "radius_range", "map.generator"),
-            resolution=float(g.get("resolution", 0.1)),
+            resolution=_number(g, "resolution", "map.generator", 0.1),
             keep_clear=keep_clear,
-            clearance=float(g.get("clearance", 1.0)))
+            clearance=_number(g, "clearance", "map.generator", 1.0))
     if "dims" in m:
         try:
             return OccupancyGrid.from_json_dict(m)
@@ -343,18 +405,21 @@ def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScri
         wps = t["waypoints"]
         return WaypointScript([w[0] for w in wps], [w[1:] for w in wps])
     if "path" in t:
-        return WaypointScript.from_path(t["path"], float(t.get("speed", 1.0)),
-                                        float(t.get("start_hold", 0.0)))
+        return WaypointScript.from_path(
+            t["path"], _number(t, "speed", "target", 1.0),
+            _number(t, "start_hold", "target", 0.0))
     if "random" in t:
         r = t["random"]
-        rng = np.random.default_rng(int(r.get("seed", seed)) + 1)
+        rng = np.random.default_rng(
+            _number(r, "seed", "target.random", seed, int) + 1)
         return random_target_script(
             rng, esdf,
             start=_require(r, "start", "target.random"),
-            speed=float(_require(r, "speed", "target.random")),
-            duration=float(r.get("duration", raw.get("duration", 20.0))),
+            speed=_number(r, "speed", "target.random"),
+            duration=_number(r, "duration", "target.random",
+                             raw.get("duration", 20.0)),
             bounds=_require(r, "bounds", "target.random"),
-            clearance=float(r.get("clearance", 0.6)))
+            clearance=_number(r, "clearance", "target.random", 0.6))
     raise ScenarioError("target must carry 'waypoints', 'path' or 'random'")
 
 

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and never fail on a
+# slow host
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 _acceptance_lines = []
 

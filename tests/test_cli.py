@@ -55,6 +55,29 @@ class TestRunCommand:
         assert code == 2
         assert "robot_start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("limits", "bogus", 1.0, "limits.bogus"),
+        ("limits", "v_m", -1, "v_m"),
+        (None, "duration", "ten", "duration"),
+        ("search", "tau", 0, "tau"),
+        ("robot_start", "p", "abc", "robot_start.p"),
+        (None, "d_trunc", -1, "d_trunc"),
+    ])
+    def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
+                                             capsys, section, key, value,
+                                             named):
+        raw = json.loads(open(mini_path).read())
+        (raw[section] if section else raw)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        if section:
+            assert section in err
+
     def test_dump_flags(self, mini_path, tmp_path):
         out = tmp_path / "out"
         opt_trace = tmp_path / "opt.csv"
