@@ -72,12 +72,12 @@ class SearchConfig:
 
 @dataclass
 class SearchNode:
-    position: np.ndarray
-    velocity: np.ndarray
+    position: list[float]
+    velocity: list[float]
     time: float
     cost: float
     parent: "SearchNode | None" = None
-    accel: np.ndarray | None = None
+    accel: list[float] | None = None
     sighted: bool = True      # line of sight acquired somewhere on the path
     deviation: float = 0.0    # accumulated gap to the follow point (tiebreak)
 
@@ -196,6 +196,120 @@ def _bang_bang_time(dist: float, v: float, v_max: float, a_max: float) -> float:
     return t_acc + (dist - d_acc) / v_max
 
 
+def _sight_certificate(grid: OccupancyGrid):
+    """`clear(a, b_cell)` is True only if `raycast_occluded(grid, a, b)` is
+    False for every b in the cell `grid.cell_of` gives as b_cell.
+
+    The traversal never leaves the box of its end cells grown by one cell
+    (it may cross the face of b's cell that b lies on), so a box that holds
+    no occupied cell proves the ray clear. A summed-volume table (Crow 1984)
+    counts the occupied cells of any box in eight lookups.
+    """
+    res = grid.resolution
+    ox, oy, oz = grid.origin.tolist()
+    nx, ny, nz = grid.dims
+    table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
+    table[1:, 1:, 1:] = grid.occupancy.cumsum(0, dtype=np.int32) \
+        .cumsum(1).cumsum(2)
+    total = memoryview(table.reshape(-1))
+    sx, sy = (ny + 1) * (nz + 1), nz + 1
+
+    def clear(a, b_cell) -> bool:
+        bi, bj, bk = b_cell
+        i = math.floor((a[0] - ox) / res)
+        j = math.floor((a[1] - oy) / res)
+        k = math.floor((a[2] - oz) / res)
+        # a's cell as the traversal computes it; the half-open box [lo, hi)
+        # of both end cells grown by one, clipped to the grid
+        i0, i1 = (i, bi + 2) if i < bi else (bi, i + 2)
+        j0, j1 = (j, bj + 2) if j < bj else (bj, j + 2)
+        k0, k1 = (k, bk + 2) if k < bk else (bk, k + 2)
+        i0 = i0 - 1 if i0 > 0 else 0
+        j0 = j0 - 1 if j0 > 0 else 0
+        k0 = k0 - 1 if k0 > 0 else 0
+        if i1 > nx:
+            i1 = nx
+        if j1 > ny:
+            j1 = ny
+        if k1 > nz:
+            k1 = nz
+        if i0 >= i1 or j0 >= j1 or k0 >= k1:
+            return True         # the box lies outside the grid
+        x0, x1, y0, y1 = i0 * sx, i1 * sx, j0 * sy, j1 * sy
+        return (total[x1 + y1 + k1] - total[x0 + y1 + k1]
+                - total[x1 + y0 + k1] + total[x0 + y0 + k1]
+                - total[x1 + y1 + k0] + total[x0 + y1 + k0]
+                + total[x1 + y0 + k0] - total[x0 + y0 + k0]) == 0
+
+    return clear
+
+
+def _buried_certificate(grid: OccupancyGrid, b):
+    """`hit(a)` is True only if `raycast_occluded(grid, a, b)` is True;
+    None when b does not lie in an occupied cell of the grid.
+
+    The traversal ends in b's cell unless it stops earlier on an occupied
+    cell. Along an axis where b lies more than 1e-5 cells inside its cell,
+    the rounding of the face parameters (far below 1e-5 cells for rays
+    shorter than about 1e5 cells) cannot end it elsewhere. Along any other
+    axis the ray must not step at all and start in b's cell. A predicted
+    target inside an obstacle hides it from every node at that depth.
+    """
+    res = grid.resolution
+    cell, loose = [], []
+    for axis, (o, n) in enumerate(zip(grid.origin.tolist(), grid.dims)):
+        u = (float(b[axis]) - o) / res
+        c = math.floor(u)
+        if not 0 <= c < n:
+            return None
+        cell.append(c)
+        if not 1e-5 <= u - c <= 1.0 - 1e-5:
+            loose.append((axis, o, u, c))
+    if not grid.occupancy[tuple(cell)]:
+        return None
+
+    def hit(a) -> bool:
+        for axis, o, u, c in loose:
+            ua = (a[axis] - o) / res
+            # as `_dda_axis` decides whether the traversal steps this axis
+            if not (-1e-15 <= u - ua <= 1e-15 and math.floor(ua) == c):
+                return False
+        return True
+
+    return hit
+
+
+def _clearance_certificate(esdf: ESDFField, clearance: float,
+                           reach_arc: float):
+    """`clear(p, reach)` is True only if `esdf.distance_at` exceeds
+    `clearance` at every point within `reach + reach_arc` of world point p.
+
+    The lattice values of a distance field, min(res * |q - occupied|,
+    d_trunc), are 1-Lipschitz. A query interpolates (a convex combination)
+    the lattice nodes of its cell, each within sqrt(3) cells of the query
+    clamped onto the lattice box; clamping does not stretch distances, and
+    p's nearest clamped lattice node q0 is within sqrt(3)/2 cells of p's
+    clamped position. So every corner a query within r = reach + reach_arc
+    of p reads lies within r + 1.5 * sqrt(3) * res of q0 and holds at least
+    D(q0) minus that; 1e-6 covers rounding.
+    """
+    g = esdf.grid
+    res = g.resolution
+    ox, oy, oz = g.origin.tolist()
+    nx, ny, nz = g.dims
+    hx, hy, hz = nx - 1, ny - 1, nz - 1
+    dist = memoryview(esdf.distance.reshape(-1))
+    floor_ = clearance + reach_arc + 1.5 * math.sqrt(3.0) * res + 1e-6
+
+    def clear(p, reach: float) -> bool:
+        i = round(min(max((p[0] - ox) / res - 0.5, 0.0), hx))
+        j = round(min(max((p[1] - oy) / res - 0.5, 0.0), hy))
+        k = round(min(max((p[2] - oz) / res - 0.5, 0.0), hz))
+        return dist[(i * ny + j) * nz + k] - reach > floor_
+
+    return clear
+
+
 def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
            limits: DynamicLimits, config: SearchConfig | None = None,
            horizon: float = 3.0, standoff: float | None = None,
@@ -213,6 +327,12 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     target is rejected. When the start itself has no line of sight, a blind
     prefix is tolerated until sight is first acquired; the goal always
     requires sight.
+
+    `esdf` must be a distance field such as `build_esdf` makes: clearance
+    queries the field can be proven to pass are skipped, and the proof
+    relies on its lattice values being 1-Lipschitz. Likewise a ray whose
+    bounding box holds no occupied cell is not cast, nor one that ends
+    inside an occupied cell. None of these shortcuts changes any output.
     """
     cfg = config or SearchConfig()
     clearance = limits.d_thr / 2.0
@@ -246,10 +366,13 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     samp_t = np.linspace(0.0, tau, max(cfg.collision_samples, 2))
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
-    acc_tau = accels * tau
-    acc_arc = 0.5 * accels * tau * tau
     step_cost = tau * (1.0 + cfg.effort_weight
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
+    # successors run on Python floats, each value computed with the same
+    # operations in the same order as the former numpy batch
+    prims = list(enumerate(zip((accels * tau).tolist(),
+                               (0.5 * accels * tau * tau).tolist(),
+                               step_cost.tolist(), accels.tolist())))
     max_time = cfg.horizon_slack * horizon + 1e-9
     v_quant = max(limits.a_m * tau, 1e-6)
     inv_prune = 1.0 / cfg.prune_resolution
@@ -257,12 +380,15 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     gx, gy, gz = (float(v) for v in goal_center)
     v_m2 = limits.v_m ** 2
     hw = cfg.heuristic_weight
+    tw = cfg.tracking_weight
 
-    def key_of(p, v, t, sighted):
-        return (int(round(p[0] * inv_prune)), int(round(p[1] * inv_prune)),
-                int(round(p[2] * inv_prune)), int(round(v[0] * inv_vq)),
-                int(round(v[1] * inv_vq)), int(round(v[2] * inv_vq)),
-                int(round(t / tau)), sighted)
+    # a primitive's samples stay within |v| * tau + a_max * tau^2 / 2 of
+    # its node
+    clear_within = _clearance_certificate(
+        esdf, clearance,
+        0.5 * tau * tau * float(np.sqrt((accels ** 2).sum(axis=1)).max()))
+    if cfg.occlusion_check:
+        sight_clear = _sight_certificate(grid)
 
     def in_goal(p, t) -> bool:
         if t < horizon - 1e-9:
@@ -270,6 +396,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
         return abs(gap - standoff) <= cfg.goal_tolerance
 
+    # px, py, pz below are read by the heuristic's closure: never rebind them
     if cfg.guided:
         away = p0 - goal_center
         gap0 = np.linalg.norm(away)
@@ -304,16 +431,21 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
     sighted0 = not cfg.occlusion_check or \
         not raycast_occluded(grid, p0, c0)
-    root = SearchNode(p0, v0, 0.0, 0.0, sighted=sighted0)
+    root = SearchNode(p0.tolist(), v0.tolist(), 0.0, 0.0, sighted=sighted0)
     counter = itertools.count()
-    root_key = key_of(p0, v0, 0.0, sighted0)
+    root_key = (*(round(x * inv_prune) for x in root.position),
+                *(round(x * inv_vq) for x in root.velocity), 0, sighted0)
     # accumulated deviation from the follow point breaks ties among
     # equal-cost frontier nodes, so equal-arrival plans pace the target
     # instead of dashing ahead and waiting
-    open_heap = [(heuristic(p0, v0, 0.0), 0.0, root_key, next(counter), root)]
+    open_heap = [(heuristic(root.position, root.velocity, 0.0), 0.0,
+                  root_key, next(counter), root)]
     best_g: dict = {root_key: 0.0}
     closed: set = set()
     expansions = 0
+    # all nodes of one depth share one float time, hence one target sample:
+    # t_next -> (layer, follow point, target position, target cell, hit)
+    depths: dict = {}
 
     while open_heap:
         _, _, key, _, node = heapq.heappop(open_heap)
@@ -323,7 +455,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
         if node.sighted and in_goal(node.position, node.time):
             chain = node.lineage()
-            pts = np.stack([n.position for n in chain])
+            pts = np.array([n.position for n in chain])
             times = np.array([n.time for n in chain])
             return pts, times
 
@@ -336,68 +468,85 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             continue
 
         t_next = node.time + tau
-        layer = int(round(t_next / tau))
-        c_next = np.asarray(target_at(t_next), dtype=np.float64)
-        ref_next = c_next + standoff * u0
+        depth = depths.get(t_next)
+        if depth is None:
+            c_next = np.asarray(target_at(t_next), dtype=np.float64)
+            c_row = c_next.tolist()
+            depth = depths[t_next] = (
+                int(round(t_next / tau)), (c_next + standoff * u0).tolist(),
+                c_row, grid.cell_of(c_row),
+                _buried_certificate(grid, c_row) if cfg.occlusion_check
+                else None)
+        layer, (fx, fy, fz), c_row, c_cell, hit = depth
+        # a sighted node loses every successor whose ray is surely occluded,
+        # whatever else would reject it
+        hit_rejects = hit is not None and node.sighted
 
-        # all successors at once
-        v_batch = node.velocity[None, :] + acc_tau                  # (A, 3)
-        ok = ((v_batch * v_batch).sum(axis=1) <= v_m2).tolist()
-        p_batch = node.position[None, :] + node.velocity * tau \
-            + acc_arc                                               # (A, 3)
-        deviation = tau * np.sqrt(((p_batch - ref_next) ** 2).sum(axis=1))
-        g_batch = (node.cost + step_cost
-                   + cfg.tracking_weight * deviation).tolist()
-        key_rows = np.rint(np.concatenate(
-            [p_batch * inv_prune, v_batch * inv_vq], axis=1)
-            ).astype(np.int64).tolist()
-
-        # cheap pruning before geometry: drop closed/worse states
-        if node.sighted:
-            for i, row in enumerate(key_rows):
-                if not ok[i]:
-                    continue
-                k_sighted = (*row, layer, True)
+        # successors, with the velocity bound and (for a sighted node, whose
+        # children stay sighted) the closed/worse prune before any geometry
+        x, y, z = node.position
+        vx, vy, vz = node.velocity
+        mx, my, mz = x + vx * tau, y + vy * tau, z + vz * tau
+        live = []
+        for i, ((tx, ty, tz), (sx, sy, sz), step, acc) in prims:
+            nvx, nvy, nvz = vx + tx, vy + ty, vz + tz
+            if not nvx * nvx + nvy * nvy + nvz * nvz <= v_m2:
+                continue
+            nx_, ny_, nz_ = mx + sx, my + sy, mz + sz
+            if hit_rejects and hit((nx_, ny_, nz_)):
+                continue
+            dx, dy, dz = nx_ - fx, ny_ - fy, nz_ - fz
+            dev = tau * math.sqrt(dx * dx + dy * dy + dz * dz)
+            g_new = node.cost + step + tw * dev
+            row = (round(nx_ * inv_prune), round(ny_ * inv_prune),
+                   round(nz_ * inv_prune), round(nvx * inv_vq),
+                   round(nvy * inv_vq), round(nvz * inv_vq), layer)
+            if node.sighted:
+                k_sighted = (*row, True)
                 prev = best_g.get(k_sighted)
                 if k_sighted in closed or (prev is not None
-                                           and prev <= g_batch[i]):
-                    ok[i] = False
-        live = [i for i, keep in enumerate(ok) if keep]
+                                           and prev <= g_new):
+                    continue
+            live.append((i, [nx_, ny_, nz_], [nvx, nvy, nvz], acc, dev,
+                         g_new, row))
         if not live:
             continue
 
-        # clearance along every surviving primitive arc in one field query
-        segs = node.position[None, None, :] \
-            + np.outer(samp_t, node.velocity)[None, :, :] + samp_acc[live]
-        dist = esdf.distance_at(segs.reshape(-1, 3))
-        dist = dist.reshape(len(live), -1).min(axis=1).tolist()
+        # clearance along every surviving primitive arc in one field query,
+        # unless the node is provably far enough from every obstacle
+        if clear_within(node.position,
+                        math.sqrt(vx * vx + vy * vy + vz * vz) * tau):
+            dist = None
+        else:
+            segs = np.array(node.position) \
+                + np.outer(samp_t, node.velocity)[None, :, :] \
+                + samp_acc[[s[0] for s in live]]
+            dist = esdf.distance_at(segs.reshape(-1, 3))
+            dist = dist.reshape(len(live), -1).min(axis=1).tolist()
 
-        # scalar work per successor runs on Python floats
-        p_rows, v_rows = p_batch.tolist(), v_batch.tolist()
-        dev_rows = deviation.tolist()
-        c_row = c_next.tolist()
-        for idx, i in enumerate(live):
-            if dist[idx] <= clearance:
+        for idx, (i, p, v, acc, dev, g_new, row) in enumerate(live):
+            if dist is not None and dist[idx] <= clearance:
                 continue
-            g_new = g_batch[i]
             if cfg.occlusion_check:
-                occluded = raycast_occluded(grid, p_rows[i], c_row)
+                occluded = (hit is not None and hit(p)) or (
+                    not sight_clear(p, c_cell)
+                    and raycast_occluded(grid, p, c_row))
                 if node.sighted and occluded:
                     continue
                 sighted = node.sighted or not occluded
             else:
                 sighted = True
-            nkey = (*key_rows[i], layer, sighted)
+            nkey = (*row, sighted)
             if nkey in closed:
                 continue
             prev = best_g.get(nkey)
             if prev is not None and prev <= g_new:
                 continue
             best_g[nkey] = g_new
-            dev_new = node.deviation + dev_rows[i]
-            child = SearchNode(p_batch[i], v_batch[i], t_next, g_new, node,
-                               accels[i], sighted, dev_new)
-            f = g_new + heuristic(p_rows[i], v_rows[i], t_next)
+            dev_new = node.deviation + dev
+            child = SearchNode(p, v, t_next, g_new, node, acc, sighted,
+                               dev_new)
+            f = g_new + heuristic(p, v, t_next)
             heapq.heappush(open_heap, (f, dev_new, nkey, next(counter), child))
 
     raise SearchExhausted(

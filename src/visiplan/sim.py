@@ -240,33 +240,53 @@ def _require(d: dict, key: str, ctx: str):
 _REQUIRED = object()
 
 
-def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float):
+def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
+            above=None):
     """d[key] (or `default` when absent) converted by `kind` (float or int);
-    a value that does not convert is a ScenarioError naming the field."""
+    a value that does not convert, or is not greater than `above` when that
+    is given, is a ScenarioError naming the field."""
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError) as e:
         raise ScenarioError(
             f"scenario field '{_field_name(ctx, key)}' must be "
             f"{'an integer' if kind is int else 'a number'}, got {value!r}"
         ) from e
+    if above is not None and not number > above:
+        bound = f"at least {above + 1}" if kind is int \
+            else f"greater than {above}"
+        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
+                            f"be {bound}, got {value!r}")
+    return number
 
 
-def _vector(d: dict, key: str, ctx: str, default=_REQUIRED) -> np.ndarray:
-    """d[key] (or `default` when absent) as a float 3-vector; anything else
-    is a ScenarioError naming the field."""
+def _vector(d: dict, key: str, ctx: str, default=_REQUIRED, shape=(3,),
+            what="a list of 3 numbers") -> np.ndarray:
+    """d[key] (or `default` when absent) as a finite float array of `shape`,
+    where a None entry takes any length of at least 1; anything else is a
+    ScenarioError naming the field and saying it must be `what`."""
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
     try:
         vec = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         vec = None
-    if vec is None or vec.shape != (3,):
+    if vec is None or vec.ndim != len(shape) or not np.isfinite(vec).all() \
+            or any(n < 1 if want is None else n != want
+                   for n, want in zip(vec.shape, shape)):
         raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be a list of 3 numbers, got {value!r}")
+                            f"be {what}, got {value!r}")
     return vec
+
+
+def _points(d: dict, key: str, ctx: str, width: int = 3) -> np.ndarray:
+    """d[key] as a nonempty (N, width) float array: [x, y, z] points, or
+    [t, x, y, z] waypoints for width 4."""
+    return _vector(d, key, ctx, shape=(None, width),
+                   what="a nonempty list of [x, y, z] points" if width == 3
+                   else "a nonempty list of [t, x, y, z] waypoints")
 
 
 def _field_name(ctx: str, key: str) -> str:
@@ -332,7 +352,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         _number(rs, "yaw_rate", "robot_start", 0.0))
 
     tgt = _require(raw, "target", "scenario")
-    duration = _number(raw, "duration", "scenario")
+    duration = _number(raw, "duration", "scenario", above=0)
     pr = raw.get("predict", {})
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
@@ -343,13 +363,16 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
             _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
         fov_v_half=math.radians(
             _number(raw, "fov_v_deg", "scenario", 65.0) / 2.0),
-        replan_period=_number(raw, "replan_period", "scenario", 0.1),
+        replan_period=_number(raw, "replan_period", "scenario", 0.1,
+                              above=0),
         duration=duration,
-        horizon=_number(raw, "horizon", "scenario", 3.0),
-        search_horizon=(_number(raw, "search_horizon", "scenario")
+        horizon=_number(raw, "horizon", "scenario", 3.0, above=0),
+        search_horizon=(_number(raw, "search_horizon", "scenario", above=0)
                         if "search_horizon" in raw else None),
+        # a cubic B-spline needs one free control point past the three
+        # pinned by the start state
         num_control_points=_number(raw, "num_control_points", "scenario",
-                                   33, int),
+                                   33, int, above=3),
         pose_noise_sigma=_number(raw, "pose_noise_sigma", "scenario", 0.0),
         seed=eff_seed,
         limits=limits, params=params, weights=weights,
@@ -376,22 +399,39 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
         g = m["generator"]
         if g.get("kind", "forest") != "forest":
             raise ScenarioError(f"unknown map generator '{g.get('kind')}'")
-        keep_clear = list(g.get("keep_clear", []))
-        keep_clear.append(raw["robot_start"]["p"])
-        if "waypoints" in raw.get("target", {}):
-            keep_clear.append(raw["target"]["waypoints"][0][1:])
-        if "path" in raw.get("target", {}):
-            keep_clear.append(raw["target"]["path"][0])
-        if "random" in raw.get("target", {}):
-            keep_clear.append(raw["target"]["random"]["start"])
-        return generate_random_forest(
-            seed=_number(g, "seed", "map.generator", seed, int),
-            area=_require(g, "area", "map.generator"),
-            count=_number(g, "count", "map.generator", kind=int),
-            radius_range=_require(g, "radius_range", "map.generator"),
-            resolution=_number(g, "resolution", "map.generator", 0.1),
-            keep_clear=keep_clear,
-            clearance=_number(g, "clearance", "map.generator", 1.0))
+        keep_clear = list(_points(g, "keep_clear", "map.generator")) \
+            if "keep_clear" in g else []
+        keep_clear.append(_vector(_require(raw, "robot_start", "scenario"),
+                                  "p", "robot_start"))
+        tgt = raw.get("target", {})
+        if "waypoints" in tgt:
+            keep_clear.append(_points(tgt, "waypoints", "target", 4)[0, 1:])
+        if "path" in tgt:
+            keep_clear.append(_points(tgt, "path", "target")[0])
+        if "random" in tgt:
+            keep_clear.append(_vector(tgt["random"], "start", "target.random"))
+        area = _vector(g, "area", "map.generator", shape=(2,),
+                       what="a list of 2 positive numbers")
+        radii = _vector(g, "radius_range", "map.generator", shape=(2,),
+                        what="a list [low, high] with 0 < low <= high")
+        if not 0.0 < radii[0] <= radii[1]:
+            raise ScenarioError("scenario field 'map.generator.radius_range' "
+                                "must be a list [low, high] with 0 < low <= "
+                                f"high, got {g['radius_range']!r}")
+        try:
+            return generate_random_forest(
+                seed=_number(g, "seed", "map.generator", seed, int),
+                area=area,
+                count=_number(g, "count", "map.generator", kind=int,
+                              above=-1),
+                radius_range=radii,
+                resolution=_number(g, "resolution", "map.generator", 0.1,
+                                   above=0),
+                keep_clear=keep_clear,
+                clearance=_number(g, "clearance", "map.generator", 1.0))
+        except GridError as e:
+            raise ScenarioError(f"scenario field 'map.generator.area': {e}") \
+                from e
     if "dims" in m:
         try:
             return OccupancyGrid.from_json_dict(m)
@@ -402,11 +442,12 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
 
 def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScript:
     if "waypoints" in t:
-        wps = t["waypoints"]
-        return WaypointScript([w[0] for w in wps], [w[1:] for w in wps])
+        wps = _points(t, "waypoints", "target", 4)
+        return WaypointScript(wps[:, 0], wps[:, 1:])
     if "path" in t:
         return WaypointScript.from_path(
-            t["path"], _number(t, "speed", "target", 1.0),
+            _points(t, "path", "target"),
+            _number(t, "speed", "target", 1.0, above=0),
             _number(t, "start_hold", "target", 0.0))
     if "random" in t:
         r = t["random"]
@@ -414,11 +455,12 @@ def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScri
             _number(r, "seed", "target.random", seed, int) + 1)
         return random_target_script(
             rng, esdf,
-            start=_require(r, "start", "target.random"),
-            speed=_number(r, "speed", "target.random"),
+            start=_vector(r, "start", "target.random"),
+            speed=_number(r, "speed", "target.random", above=0),
             duration=_number(r, "duration", "target.random",
                              raw.get("duration", 20.0)),
-            bounds=_require(r, "bounds", "target.random"),
+            bounds=_vector(r, "bounds", "target.random", shape=(3, 2),
+                           what="3 [low, high] pairs"),
             clearance=_number(r, "clearance", "target.random", 0.6))
     raise ScenarioError("target must carry 'waypoints', 'path' or 'random'")
 

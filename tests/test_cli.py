@@ -78,6 +78,36 @@ class TestRunCommand:
         if section:
             assert section in err
 
+    @pytest.mark.parametrize("scenario, path, value, named", [
+        ("mini", "target.path", [["a", 1, 0], [8.0, 7.5, 0.0]], "target.path"),
+        ("mini", "target.path", [[4.0, 6.0], [8.0, 7.5]], "target.path"),
+        ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
+                                          [1.0, "x", 6.0, 0.0]]},
+         "target.waypoints"),
+        ("forest", "map.generator.area", "big", "map.generator.area"),
+        ("mini", "target.speed", 0, "target.speed"),
+        ("mini", "replan_period", 0, "replan_period"),
+        ("mini", "num_control_points", 3, "num_control_points"),
+        ("forest", "map.generator.radius_range", [0.5],
+         "map.generator.radius_range"),
+        ("mini", "duration", -1, "duration"),
+    ])
+    def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
+                                               scenario, path, value, named):
+        raw = json.loads(bundled_scenario(scenario).read_text())
+        *parents, key = path.split(".")
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_flags(self, mini_path, tmp_path):
         out = tmp_path / "out"
         opt_trace = tmp_path / "opt.csv"

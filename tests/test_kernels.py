@@ -4,7 +4,9 @@ they replaced.
 `reference_raycast` and the `reference_*` ESDF functions are the earlier
 numpy implementations, kept verbatim as oracles; the triangular solves are
 checked against scipy. Every comparison is bit-exact: the kernels must do
-the same floating-point operations, not merely close ones.
+the same floating-point operations, not merely close ones. The search's
+line-of-sight and clearance certificates are checked for soundness: when one
+holds, the work it skips would have found nothing.
 """
 
 import math
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from visiplan.costs import CostWeights
 from visiplan.env import ESDFField, OccupancyGrid, build_esdf
 from visiplan.optimizer import solve_triangular, whitening_factors
-from visiplan.search import raycast_occluded
+from visiplan.search import (_buried_certificate, _clearance_certificate,
+                             _sight_certificate, raycast_occluded)
 
 
 def same_bits(x, y) -> bool:
@@ -240,6 +243,144 @@ def test_raycast_accepts_lists(grid, data):
     a, b = data.draw(segments(grid, "random", True))
     assert raycast_occluded(grid, a.tolist(), b.tolist()) \
         == reference_raycast(grid, a, b)
+
+
+def sparsen(grid: OccupancyGrid, data):
+    """Maybe keep only a few occupied cells: certificates then hold next to
+    obstacles instead of only far from them."""
+    if data.draw(st.booleans()):
+        grid.occupancy[:] = False
+        for _ in range(data.draw(st.integers(1, 3))):
+            grid.occupancy[tuple(data.draw(st.integers(0, n - 1))
+                                 for n in grid.dims)] = True
+
+
+@pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+@pytest.mark.parametrize("kind", ["random", "grid_aligned", "crossing_border",
+                                  "near_border", "outside"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sight_certificate_is_sound(kind, planar, data):
+    grid = data.draw(grids(planar))
+    sparsen(grid, data)
+    clear = _sight_certificate(grid)
+    for _ in range(8):
+        if kind == "outside":   # segments that may never enter the grid
+            a, b = data.draw(segments(grid, "random", planar))
+            shift = np.zeros(3)
+            shift[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(
+                [-1.0, 1.0])) * (grid.world_max() - grid.world_min()).max()
+            a = a + shift
+            b = b + shift * data.draw(st.sampled_from([0.5, 1.0]))
+        else:
+            a, b = data.draw(segments(grid, kind, planar))
+        # the certificate is exactly "no occupied cell in the grown box"
+        ia, ib = np.array(grid.cell_of(a)), np.array(grid.cell_of(b))
+        lo = np.maximum(np.minimum(ia, ib) - 1, 0)
+        hi = np.minimum(np.maximum(ia, ib) + 2, grid.dims)
+        box = grid.occupancy[lo[0]:max(hi[0], lo[0]), lo[1]:max(hi[1], lo[1]),
+                             lo[2]:max(hi[2], lo[2])]
+        certified = clear(a, grid.cell_of(b))
+        assert certified == (not box.any())
+        if certified:
+            assert not raycast_occluded(grid, a, b), (a.tolist(), b.tolist())
+            assert not reference_raycast(grid, a, b)
+
+
+@pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+@pytest.mark.parametrize("kind", SEGMENT_KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_buried_certificate_is_sound(kind, planar, data):
+    grid = data.draw(grids(planar))
+    for _ in range(8):
+        a, b = data.draw(segments(grid, kind, planar))
+        if data.draw(st.booleans()) and grid.in_bounds(grid.cell_of(b)):
+            grid.occupancy[grid.cell_of(b)] = True      # bury the end
+        hit = _buried_certificate(grid, b)
+        cell = grid.cell_of(b)
+        assert (hit is None) == (not grid.is_occupied(cell))
+        if hit is not None and hit(a):
+            assert raycast_occluded(grid, a, b), (a.tolist(), b.tolist())
+            assert reference_raycast(grid, a, b)
+
+
+def test_buried_certificate_on_level_rays():
+    """Planar rays at the height of the layer's lower face, as the forest
+    scenario flies them, are certified with their end inside a cell."""
+    grid = OccupancyGrid.empty(0.1, (20, 20, 1))
+    grid.occupancy[10, 10, 0] = True
+    hit = _buried_certificate(grid, [1.05, 1.05, 0.0])
+    assert hit is not None
+    assert hit([0.13, 0.37, 0.0]) and raycast_occluded(
+        grid, [0.13, 0.37, 0.0], [1.05, 1.05, 0.0])
+    assert not hit([0.13, 0.37, 0.01])      # steps in z: not certified
+    # does not step in z, but runs in the layer below the grid
+    assert not hit([0.13, 0.37, -1e-17]) and not raycast_occluded(
+        grid, [0.13, 0.37, -1e-17], [1.05, 1.05, 0.0])
+    # on a face of the occupied cell the traversal may stop short of it
+    assert _buried_certificate(grid, [1.0, 1.05, 0.0])([0.13, 0.37, 0.0]) \
+        is False
+    assert _buried_certificate(grid, [1.15, 1.05, 0.0]) is None
+
+
+def largest_certified_clearance(field, arc, p, reach):
+    """The largest clearance the certificate accepts at (p, reach), by
+    bisection, or None; field values lie in [0, d_trunc]."""
+    lo, hi = -20.0, 20.0
+    if not _clearance_certificate(field, lo, arc)(p, reach):
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _clearance_certificate(field, mid, arc)(p, reach):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_clearance_certificate_is_sound(data):
+    """At the largest clearance the certificate accepts, the search's
+    primitive samples and every point within reach read above it."""
+    grid = data.draw(grids(planar=data.draw(st.booleans())))
+    sparsen(grid, data)
+    field = build_esdf(grid, data.draw(st.sampled_from([0.3, 1.0, 5.0])))
+    res = grid.resolution
+    tau = data.draw(st.sampled_from([0.1, 0.25]))
+    a_m = data.draw(st.sampled_from([5.0, 20.0, 0.0]))
+    fr = (-1.0, 0.0, 1.0)
+    accels = a_m * np.array([[x, y, z] for x in fr for y in fr for z in fr])
+    arc = 0.5 * tau * tau * a_m * math.sqrt(3.0)
+    n = np.asarray(grid.dims, dtype=np.float64)
+    samp_t = np.linspace(0.0, tau, 5)
+    occupied = grid.origin + (grid.occupied_cells() + 0.5) * res
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(12):
+        p = grid.origin + rng.uniform(-2.0, n + 2.0) * res
+        v = rng.uniform(-3.0, 3.0, 3) * rng.choice([0.0, 0.1, 1.0])
+        reach = math.sqrt(float(v @ v)) * tau
+        clearance = largest_certified_clearance(field, arc, p.tolist(), reach)
+        if clearance is None:
+            continue
+        arcs = p + np.outer(samp_t, v)[None] \
+            + 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
+        # points in the ball of the reach, most at its surface, and the
+        # stretch toward the nearest occupied cell
+        dirs = rng.normal(size=(64, 3))
+        if occupied.size:
+            dirs[0] = occupied[np.argmin(np.linalg.norm(occupied - p,
+                                                        axis=1))] - p
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True),
+                           1e-12)
+        radii = (reach + arc) * np.concatenate(
+            [np.ones(32), rng.random(32)])
+        radii[1:4] = (reach + arc) * np.array([0.25, 0.5, 0.75])
+        dirs[1:4] = dirs[0]
+        ball = p + dirs * radii[:, None]
+        for pts in (arcs.reshape(-1, 3), ball):
+            assert np.all(field.distance_at(pts) > clearance)
 
 
 # ---------------------------------------------------------------------------
