@@ -11,7 +11,7 @@ Inequality constraints enter through the C2 hinge penalty(x) = max(0, x)^3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class CostWeights:
     w_v: float = 2.0
 
     def __post_init__(self):
-        for name, v in asdict(self).items():
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     def baseline(self) -> "CostWeights":
         """Visibility-blind variant: DO/AO/OE/safe-tracking zeroed."""
@@ -77,9 +77,9 @@ class DynamicLimits:
     psi_thr: float = 0.6
 
     def __post_init__(self):
-        for name, v in asdict(self).items():
-            if v <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass

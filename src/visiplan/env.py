@@ -10,6 +10,8 @@ consistent with the interpolated values.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,27 +20,45 @@ from scipy import ndimage
 
 
 class GridError(ValueError):
-    """Malformed grid description or file."""
+    """Malformed grid description or file; `field` names the offending grid
+    field (resolution, origin, dims, occupied) when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
 class OccupancyGrid:
     """Axis-aligned voxel grid. `origin` is the world position of the
     low corner of cell (0, 0, 0); cell centers sit at origin + (i + 0.5) * res.
+    An `occupancy` of None makes every cell free.
     """
 
     resolution: float
     origin: np.ndarray
     dims: tuple[int, int, int]
-    occupancy: np.ndarray = field(repr=False)
+    occupancy: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise GridError("resolution must be positive")
-        if any(n < 1 for n in self.dims):
-            raise GridError("all dims must be >= 1")
-        self.origin = np.asarray(self.origin, dtype=np.float64)
-        self.occupancy = np.asarray(self.occupancy, dtype=bool)
+        res = self.resolution
+        if not (isinstance(res, numbers.Real) and math.isfinite(res)
+                and res > 0):
+            raise GridError(f"resolution must be a positive number, got "
+                            f"{res!r}", "resolution")
+        try:
+            dims_ok = len(self.dims) == 3 and all(
+                isinstance(n, numbers.Integral) and n >= 1 for n in self.dims)
+        except TypeError:
+            dims_ok = False
+        if not dims_ok:
+            raise GridError(f"dims must be 3 integers >= 1, got "
+                            f"{self.dims!r}", "dims")
+        self.origin = finite_array(self.origin, (3,), "origin",
+                                   "3 finite numbers")
+        self.occupancy = np.zeros(self.dims, dtype=bool) \
+            if self.occupancy is None \
+            else np.asarray(self.occupancy, dtype=bool)
         if self.occupancy.shape != tuple(self.dims):
             raise GridError(
                 f"occupancy shape {self.occupancy.shape} != dims {self.dims}"
@@ -46,8 +66,7 @@ class OccupancyGrid:
 
     @classmethod
     def empty(cls, resolution, dims, origin=(0.0, 0.0, 0.0)) -> "OccupancyGrid":
-        return cls(resolution, np.asarray(origin, float), tuple(dims),
-                   np.zeros(tuple(dims), dtype=bool))
+        return cls(resolution, origin, tuple(dims))
 
     def cell_of(self, p) -> tuple[int, int, int]:
         """Cell index containing world point p (no bounds check)."""
@@ -89,13 +108,24 @@ class OccupancyGrid:
         for key in ("resolution", "origin", "dims", "occupied"):
             if key not in d:
                 raise GridError(f"grid JSON missing field '{key}'")
-        dims = tuple(int(n) for n in d["dims"])
-        grid = cls.empty(float(d["resolution"]), dims, np.asarray(d["origin"], float))
-        for cell in d["occupied"]:
-            i, j, k = (int(v) for v in cell)
-            if not grid.in_bounds((i, j, k)):
-                raise GridError(f"occupied cell {cell} out of bounds for dims {dims}")
-            grid.occupancy[i, j, k] = True
+        try:
+            resolution = float(d["resolution"])
+        except (TypeError, ValueError):
+            raise GridError(f"resolution must be a positive number, got "
+                            f"{d['resolution']!r}", "resolution") from None
+        dims = tuple(int(n) for n in finite_array(
+            d["dims"], (3,), "dims", "3 integers >= 1", integral=True))
+        grid = cls.empty(resolution, dims, d["origin"])
+        cells = finite_array(d["occupied"], (None, 3), "occupied",
+                             "a list of [i, j, k] integer cells",
+                             integral=True, empty=True)
+        cells = cells.astype(np.intp).reshape(-1, 3)
+        outside = ((cells < 0) | (cells >= dims)).any(axis=1)
+        if outside.any():
+            cell = d["occupied"][int(np.argmax(outside))]
+            raise GridError(f"occupied cell {cell} out of bounds for dims "
+                            f"{dims}", "occupied")
+        grid.occupancy[tuple(cells.T)] = True
         return grid
 
     def to_ascii(self) -> str:
@@ -129,6 +159,26 @@ class OccupancyGrid:
                 elif ch != ".":
                     raise GridError(f"unexpected character {ch!r} in ASCII raster")
         return grid
+
+
+def finite_array(value, shape, name: str, what: str, integral: bool = False,
+                 empty: bool = False) -> np.ndarray:
+    """`value` as a finite float array of `shape` (a None entry takes any
+    length of at least 1, or 0 too when `empty`), with integral entries when
+    `integral`; anything else is a GridError naming the field `name`."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if empty and arr is not None and arr.size == 0:
+        return arr
+    if arr is None or arr.ndim != len(shape) \
+            or any(n < 1 if want is None else n != want
+                   for n, want in zip(arr.shape, shape)) \
+            or not np.isfinite(arr).all() \
+            or integral and (arr != np.round(arr)).any():
+        raise GridError(f"{name} must be {what}, got {value!r}", name)
+    return arr
 
 
 def load_grid(path, resolution: float | None = None,
@@ -269,11 +319,16 @@ def build_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:
         dist = np.full(occ.shape, float(d_trunc))
         return ESDFField(grid, dist, float(d_trunc))
     # Feature transform gives the nearest occupied cell exactly; the distance
-    # is then sqrt of an integer squared cell offset, matching a brute-force
-    # scan bit-for-bit.
+    # is then sqrt of an integer squared cell offset (exact in float64),
+    # matching a brute-force scan bit-for-bit. It runs over the axes with
+    # more than one cell only: a single-cell axis adds no offset.
+    free = ~occ.reshape([n for n in occ.shape if n > 1] or [1])
     nearest = ndimage.distance_transform_edt(
-        ~occ, return_distances=False, return_indices=True)
-    cells = np.indices(occ.shape)
-    sq = ((cells - nearest).astype(np.float64) ** 2).sum(axis=0)
+        free, return_distances=False, return_indices=True)
+    sq = np.zeros(free.shape, dtype=np.int64)
+    for axis, idx in enumerate(nearest):
+        offset = idx - np.arange(free.shape[axis]).reshape(
+            [-1] + [1] * (free.ndim - 1 - axis))
+        sq += offset * offset
     dist = np.minimum(np.sqrt(sq) * grid.resolution, d_trunc)
-    return ESDFField(grid, dist, float(d_trunc))
+    return ESDFField(grid, dist.reshape(occ.shape), float(d_trunc))

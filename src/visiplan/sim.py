@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostWeights, DynamicLimits, VisibilityParams
-from .env import ESDFField, GridError, OccupancyGrid, build_esdf, load_grid
+from .env import (ESDFField, GridError, OccupancyGrid, build_esdf,
+                  finite_array, load_grid)
 from .optimizer import OptimizerConfig, optimize
 from .predict import HistoryBuffer, fit, predict_track
 from .search import (SearchConfig, SearchError, raycast_occluded,
@@ -100,6 +101,7 @@ def random_target_script(rng: np.random.Generator, esdf: ESDFField,
     vehicle-like one does not)."""
     bounds = np.asarray(bounds, dtype=np.float64)
     pts = [np.asarray(start, dtype=np.float64)]
+    along = np.linspace(0, 1, 24)[:, None]
     heading = None
     total_time = start_hold
     while total_time < duration:
@@ -115,7 +117,7 @@ def random_target_script(rng: np.random.Generator, esdf: ESDFField,
             cand = pts[-1] + leg * np.array([math.cos(ang), math.sin(ang), 0.0])
             if np.any(cand < bounds[:, 0]) or np.any(cand > bounds[:, 1]):
                 continue
-            seg = pts[-1] + np.linspace(0, 1, 24)[:, None] * (cand - pts[-1])
+            seg = pts[-1] + along * (cand - pts[-1])
             if np.min(esdf.distance_at(seg)) <= clearance:
                 continue
             pts.append(cand)
@@ -156,8 +158,17 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
             r = rng.uniform(*radius_range)
             if all(np.hypot(p[0] - cx, p[1] - cy) >= r + clearance
                    for p in keep_clear):
-                mask = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 <= r * r
-                grid.occupancy[:, :, 0] |= mask
+                # the disc's cells lie inside its index bounding box, grown
+                # by at least a cell on each side; every cell outside misses
+                # the disc by more than a cell, so stamping only the box
+                # sets the same cells
+                i0, j0 = (max(math.floor((c - r) / resolution - 0.5) - 1, 0)
+                          for c in (cx, cy))
+                i1 = min(math.ceil((cx + r) / resolution - 0.5) + 2, nx)
+                j1 = min(math.ceil((cy + r) / resolution - 0.5) + 2, ny)
+                mask = (xs[i0:i1, None] - cx) ** 2 \
+                    + (ys[None, j0:j1] - cy) ** 2 <= r * r
+                grid.occupancy[i0:i1, j0:j1, 0] |= mask
                 break
         else:
             raise ScenarioError(
@@ -171,8 +182,13 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 
 @dataclass
 class Scenario:
+    """A loaded tracking scenario. `esdf` is the truncated ESDF of `grid`
+    at `d_trunc`, built once at load and used by `run`; it belongs to that
+    grid, so the grid must not change after loading."""
+
     name: str
     grid: OccupancyGrid
+    esdf: ESDFField
     start: RobotState
     target: WaypointScript
     fov_h_half: float
@@ -270,15 +286,10 @@ def _vector(d: dict, key: str, ctx: str, default=_REQUIRED, shape=(3,),
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
     try:
-        vec = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.ndim != len(shape) or not np.isfinite(vec).all() \
-            or any(n < 1 if want is None else n != want
-                   for n, want in zip(vec.shape, shape)):
+        return finite_array(value, shape, key, what)
+    except GridError:
         raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be {what}, got {value!r}")
-    return vec
+                            f"be {what}, got {value!r}") from None
 
 
 def _points(d: dict, key: str, ctx: str, width: int = 3) -> np.ndarray:
@@ -357,6 +368,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
+        esdf=esdf,
         start=start,
         target=_load_target(tgt, esdf, eff_seed, raw),
         fov_h_half=math.radians(
@@ -390,9 +402,11 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
 def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
     if "file" in m:
         p = base_dir / m["file"]
+        resolution = _number(m, "resolution", "map", above=0) \
+            if "resolution" in m else None
+        origin = _vector(m, "origin", "map", [0.0, 0.0, 0.0])
         try:
-            return load_grid(p, resolution=m.get("resolution"),
-                             origin=m.get("origin", (0.0, 0.0, 0.0)))
+            return load_grid(p, resolution=resolution, origin=origin)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
     if "generator" in m:
@@ -412,6 +426,10 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
             keep_clear.append(_vector(tgt["random"], "start", "target.random"))
         area = _vector(g, "area", "map.generator", shape=(2,),
                        what="a list of 2 positive numbers")
+        if not (area > 0).all():
+            raise ScenarioError("scenario field 'map.generator.area' must be "
+                                f"a list of 2 positive numbers, got "
+                                f"{g['area']!r}")
         radii = _vector(g, "radius_range", "map.generator", shape=(2,),
                         what="a list [low, high] with 0 < low <= high")
         if not 0.0 < radii[0] <= radii[1]:
@@ -436,7 +454,8 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
         try:
             return OccupancyGrid.from_json_dict(m)
         except GridError as e:
-            raise ScenarioError(str(e)) from e
+            named = f"scenario field 'map.{e.field}': " if e.field else ""
+            raise ScenarioError(named + str(e)) from e
     raise ScenarioError("map must carry 'file', 'generator' or inline grid fields")
 
 
@@ -602,7 +621,7 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
 
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
-    esdf = build_esdf(sc.grid, sc.d_trunc)
+    esdf = sc.esdf
     rng = np.random.default_rng(sc.seed)
     history = HistoryBuffer(span=sc.predict_window * 2.0)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)

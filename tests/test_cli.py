@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -91,10 +92,25 @@ class TestRunCommand:
         ("forest", "map.generator.radius_range", [0.5],
          "map.generator.radius_range"),
         ("mini", "duration", -1, "duration"),
+        ("mini", "map.dims", [10, 10], "map.dims"),
+        ("mini", "map.dims", ["a", 10, 1], "map.dims"),
+        ("mini", "map.resolution", "x", "map.resolution"),
+        ("mini", "map.occupied", [["a", 1, 0]], "map.occupied"),
+        ("mini", "map.occupied", [[1, 0]], "map.occupied"),
+        ("case1", "map.resolution", "x", "map.resolution"),
+        ("forest", "map.generator.area", [-20, 20], "map.generator.area"),
+        ("mini", "map.origin", [0, 0], "map.origin"),
+        ("case1", "map.origin", [0, 0], "map.origin"),
+        ("mini", "map.origin", [0, float("nan"), 0], "map.origin"),
+        ("case1", "map.origin", [0, float("nan"), 0], "map.origin"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
         raw = json.loads(bundled_scenario(scenario).read_text())
+        if "file" in raw["map"]:
+            # so that the injected value is the only fault
+            shutil.copy(bundled_scenario(scenario).parent / raw["map"]["file"],
+                        tmp_path)
         *parents, key = path.split(".")
         section = raw
         for name in parents:

@@ -38,8 +38,11 @@ def trilinear_oracle(field: ESDFField, p) -> float:
     return total
 
 
-def random_grid(rng, max_dim=20, p_occ=0.1) -> OccupancyGrid:
-    dims = tuple(int(v) for v in rng.integers(2, max_dim + 1, size=3))
+def random_grid(rng, max_dim=20, p_occ=0.1, flat=()) -> OccupancyGrid:
+    """Every axis draws 2..max_dim cells, except the `flat` ones, which get
+    a single cell."""
+    dims = tuple(1 if axis in flat else int(v) for axis, v in
+                 enumerate(rng.integers(2, max_dim + 1, size=3)))
     grid = OccupancyGrid.empty(0.1, dims, rng.normal(size=3))
     grid.occupancy[:] = rng.random(dims) < p_occ
     return grid
@@ -70,6 +73,35 @@ class TestOccupancyGrid:
             OccupancyGrid.empty(0.1, (0, 3, 3))
         with pytest.raises(GridError):
             OccupancyGrid.empty(-1.0, (3, 3, 3))
+
+    @pytest.mark.parametrize("resolution, dims, origin, named", [
+        (0.1, (3, 3), (0, 0, 0), "dims"),
+        (0.1, (3, 3, 1.5), (0, 0, 0), "dims"),
+        (0.1, (3, 3, 1), (0, 0), "origin"),
+        (0.1, (3, 3, 1), (0, np.nan, 0), "origin"),
+        (0.1, (3, 3, 1), ("a", 0, 0), "origin"),
+        ("x", (3, 3, 1), (0, 0, 0), "resolution"),
+        (np.inf, (3, 3, 1), (0, 0, 0), "resolution"),
+    ])
+    def test_malformed_grid_names_field(self, resolution, dims, origin,
+                                        named):
+        with pytest.raises(GridError, match=named) as info:
+            OccupancyGrid.empty(resolution, dims, origin)
+        assert info.value.field == named
+
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", "x"), ("dims", [4, 4]), ("dims", ["a", 4, 1]),
+        ("origin", [0, 0]), ("occupied", [["a", 1, 0]]),
+        ("occupied", [[1, 0]]), ("occupied", [[1, 0, 0.5]]),
+        ("occupied", [[4, 0, 0]]), ("occupied", [[-1, 0, 0]]),
+    ])
+    def test_malformed_json_names_field(self, key, value):
+        d = {"resolution": 0.5, "origin": [0, 0, 0], "dims": [4, 4, 1],
+             "occupied": [[1, 1, 0]]}
+        d[key] = value
+        with pytest.raises(GridError) as info:
+            OccupancyGrid.from_json_dict(d)
+        assert info.value.field == key
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -126,6 +158,17 @@ class TestBuildEsdf:
             d_trunc = float(rng.uniform(0.3, 3.0))
             field = build_esdf(grid, d_trunc)
             assert np.array_equal(field.distance, brute_force_esdf(grid, d_trunc))
+        # single-cell axes (the forest maps are planar) and full grids
+        for flat in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+            for p_occ in (0.1, 1.0):
+                grid = random_grid(rng, p_occ=p_occ, flat=flat)
+                if not grid.occupancy.any():
+                    grid.occupancy[(0,) * 3] = True
+                d_trunc = float(rng.uniform(0.3, 3.0))
+                field = build_esdf(grid, d_trunc)
+                assert field.distance.shape == grid.dims
+                assert np.array_equal(field.distance,
+                                      brute_force_esdf(grid, d_trunc))
 
     def test_lipschitz_and_range(self):
         rng = np.random.default_rng(11)

@@ -1,12 +1,12 @@
 """Property tests: the replan loop's lean kernels against the plain versions
 they replaced.
 
-`reference_raycast` and the `reference_*` ESDF functions are the earlier
-numpy implementations, kept verbatim as oracles; the triangular solves are
-checked against scipy. Every comparison is bit-exact: the kernels must do
-the same floating-point operations, not merely close ones. The search's
-line-of-sight and clearance certificates are checked for soundness: when one
-holds, the work it skips would have found nothing.
+`reference_raycast`, the `reference_*` ESDF functions and `reference_forest`
+are the earlier numpy implementations, kept verbatim as oracles; the
+triangular solves are checked against scipy. Every comparison is bit-exact:
+the kernels must do the same floating-point operations, not merely close
+ones. The search's line-of-sight and clearance certificates are checked for
+soundness: when one holds, the work it skips would have found nothing.
 """
 
 import math
@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visiplan.costs import CostWeights
@@ -22,6 +22,7 @@ from visiplan.env import ESDFField, OccupancyGrid, build_esdf
 from visiplan.optimizer import solve_triangular, whitening_factors
 from visiplan.search import (_buried_certificate, _clearance_certificate,
                              _sight_certificate, raycast_occluded)
+from visiplan.sim import ScenarioError, generate_random_forest
 
 
 def same_bits(x, y) -> bool:
@@ -138,6 +139,35 @@ def reference_distance_and_gradient(field: ESDFField, p):
     grad = reference_trilinear_grad(field, i0, f)
     grad[clamped] = 0.0
     return val, grad
+
+
+def reference_forest(seed: int, area, count: int, radius_range,
+                     resolution: float = 0.1, keep_clear=(),
+                     clearance: float = 1.0,
+                     max_tries: int = 500) -> OccupancyGrid:
+    """Every disc stamped by evaluating its inequality over the whole grid."""
+    rng = np.random.default_rng(seed)
+    w, h = float(area[0]), float(area[1])
+    nx, ny = int(round(w / resolution)), int(round(h / resolution))
+    grid = OccupancyGrid.empty(resolution, (nx, ny, 1))
+    keep_clear = [np.asarray(p, dtype=np.float64) for p in keep_clear]
+
+    xs = (np.arange(nx) + 0.5) * resolution
+    ys = (np.arange(ny) + 0.5) * resolution
+    for _ in range(count):
+        for attempt in range(max_tries):
+            cx = rng.uniform(0.0, w)
+            cy = rng.uniform(0.0, h)
+            r = rng.uniform(*radius_range)
+            if all(np.hypot(p[0] - cx, p[1] - cy) >= r + clearance
+                   for p in keep_clear):
+                mask = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 <= r * r
+                grid.occupancy[:, :, 0] |= mask
+                break
+        else:
+            raise ScenarioError(
+                f"could not place obstacle with {clearance} m clearance")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +465,49 @@ def test_esdf_distance_is_read_only():
     field = build_esdf(grid, 1.0)
     with pytest.raises(ValueError):
         field.distance[0, 0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# scenario set-up
+
+
+def forest_or_error(make, *args):
+    try:
+        return make(*args)
+    except ScenarioError as e:
+        return str(e)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       # areas off the resolution's multiples round to a whole cell count
+       area=st.tuples(cell_floats(0.6, 8.0), cell_floats(0.6, 8.0)),
+       count=st.integers(0, 12),
+       # radii from below half a cell to past the whole map, so discs cross
+       # every border
+       radii=st.tuples(cell_floats(0.01, 3.0), cell_floats(0.0, 6.0)).map(
+           lambda lr: (lr[0], lr[0] + lr[1])),
+       resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+       keep_clear=st.lists(st.tuples(cell_floats(-1.0, 9.0),
+                                     cell_floats(-1.0, 9.0),
+                                     st.just(0.0)), max_size=3),
+       clearance=cell_floats(0.0, 1.5))
+@example(seed=0, area=(2.0, 2.0), count=0, radii=(0.2, 0.4), resolution=0.1,
+         keep_clear=[], clearance=1.0)
+@example(seed=1, area=(2.05, 1.3), count=4, radii=(1.5, 3.0),
+         resolution=0.1, keep_clear=[], clearance=0.0)
+@example(seed=2, area=(3.0, 3.0), count=6, radii=(0.01, 0.12),
+         resolution=0.25, keep_clear=[(1.5, 1.5, 0.0)], clearance=0.3)
+def test_forest_matches_reference(seed, area, count, radii, resolution,
+                                  keep_clear, clearance):
+    args = (seed, area, count, radii, resolution, keep_clear, clearance, 30)
+    got = forest_or_error(generate_random_forest, *args)
+    want = forest_or_error(reference_forest, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dims == want.dims
+        assert same_bits(got.occupancy, want.occupancy)
 
 
 # ---------------------------------------------------------------------------

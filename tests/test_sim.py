@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from visiplan import sim
 from visiplan.env import OccupancyGrid, build_esdf
 from visiplan.search import raycast_occluded
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, ScenarioError,
@@ -211,6 +212,19 @@ class TestRun:
             assert np.linalg.norm(p_prev - p_next) <= 1e-6
             assert np.linalg.norm(v_prev - v_next) <= 1e-6
             assert np.linalg.norm(a_prev - a_next) <= 1e-6
+
+    def test_run_uses_the_scenarios_esdf(self, monkeypatch):
+        sc = load_scenario(bundled_scenario("forest"), seed=3)
+        assert sc.grid.occupancy.any()
+        assert sc.esdf.grid is sc.grid
+        assert sc.esdf.distance.tobytes() == \
+            build_esdf(sc.grid, sc.d_trunc).distance.tobytes()
+        sc.duration = 0.3
+
+        def rebuild(*args):
+            raise AssertionError("run built a second ESDF")
+        monkeypatch.setattr(sim, "build_esdf", rebuild)
+        assert run(sc).steps
 
     def test_deterministic_reports(self):
         r1 = mini_report()
