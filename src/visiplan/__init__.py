@@ -12,7 +12,7 @@ from .predict import (HistoryBuffer, PredictionModel, TargetObservation, fit,
                       predict_track)
 from .search import (InvalidStart, SearchConfig, SearchExhausted, SearchNode,
                      raycast_occluded, search)
-from .sim import (RunReport, Scenario, generate_random_forest, in_fov,
+from .sim import (Planner, RunReport, Scenario, generate_random_forest,
                   load_scenario, run, write_outputs)
 from .spline import (RobotState, TrajectoryBSpline, Waypoint,
                      initialize_from_path, wrap_angle)

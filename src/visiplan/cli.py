@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .costs import TERMS
 from .sim import (RunReport, ScenarioError, dumps_canonical, load_scenario,
                   run, write_outputs)
 
@@ -84,15 +85,12 @@ def cmd_run(args) -> int:
         dump = [{"t": t, "costs": costs} for t, costs in report.cost_dumps]
         (out / "costs.json").write_text(dumps_canonical(dump) + "\n")
     if args.opt_trace:
-        rows = ["t,iteration," + ",".join(
-            ["J_do", "J_ao", "J_oe", "J_f", "J_f_phi", "J_s", "J_s_phi",
-             "J_c", "J_v", "total"])]
+        columns = [t.column for t in TERMS] + ["total"]
+        rows = ["t,iteration," + ",".join(columns)]
         for t, trace in report.opt_trace:
             for it, vals in trace:
                 rows.append(f"{t:.17g},{it}," + ",".join(
-                    f"{vals[k]:.17g}" for k in
-                    ("J_do", "J_ao", "J_oe", "J_f", "J_f_phi", "J_s",
-                     "J_s_phi", "J_c", "J_v", "total")))
+                    f"{vals[k]:.17g}" for k in columns))
         Path(args.opt_trace).write_text("\n".join(rows) + "\n")
     if args.search_trace:
         rows = ["t,x,y,z,vx,vy,vz,cost"]

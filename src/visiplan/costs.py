@@ -11,11 +11,12 @@ Inequality constraints enter through the C2 hinge penalty(x) = max(0, x)^3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .env import ESDFField
+from .env import ESDFField, require_finite
 from .spline import TrajectoryBSpline, wrap_angle
 
 DEGENERATE_EPS = 1e-6      # min horizontal robot-target distance for yaw terms
@@ -38,13 +39,14 @@ class VisibilityParams:
     ao_sign_as_printed: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.od_min < self.od_max:
             raise ValueError("need 0 < od_min < od_max")
         if self.rho <= 0 or self.m_balls < 1:
             raise ValueError("rho must be positive and m_balls >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostWeights:
     w_do: float = 20.0
     w_ao: float = 10.0
@@ -57,14 +59,14 @@ class CostWeights:
     w_v: float = 2.0
 
     def __post_init__(self):
+        require_finite(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     def baseline(self) -> "CostWeights":
         """Visibility-blind variant: DO/AO/OE/safe-tracking zeroed."""
-        return CostWeights(0.0, 0.0, 0.0, self.w_f, self.w_f_phi,
-                           self.w_s, self.w_s_phi, self.w_c, 0.0)
+        return replace(self, w_do=0.0, w_ao=0.0, w_oe=0.0, w_v=0.0)
 
 
 @dataclass
@@ -77,6 +79,7 @@ class DynamicLimits:
     psi_thr: float = 0.6
 
     def __post_init__(self):
+        require_finite(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
@@ -102,9 +105,9 @@ class CostReport:
     ao: float
     oe: float
     feasibility: float
-    feasibility_yaw: float
+    yaw_feasibility: float
     smoothness: float
-    smoothness_yaw: float
+    yaw_smoothness: float
     collision: float
     safe_tracking: float
     total: float
@@ -112,13 +115,10 @@ class CostReport:
     grad_phi: np.ndarray = field(repr=False)
 
     def term_values(self) -> dict[str, float]:
-        return {
-            "J_do": self.do, "J_ao": self.ao, "J_oe": self.oe,
-            "J_f": self.feasibility, "J_f_phi": self.feasibility_yaw,
-            "J_s": self.smoothness, "J_s_phi": self.smoothness_yaw,
-            "J_c": self.collision, "J_v": self.safe_tracking,
-            "total": self.total,
-        }
+        """Term values by column name, in TERMS order, then the total."""
+        values = {t.column: getattr(self, t.name) for t in TERMS}
+        values["total"] = self.total
+        return values
 
     def to_json(self) -> str:
         return json.dumps(self.term_values(), indent=2)
@@ -361,6 +361,36 @@ def cost_safe_tracking(traj: TrajectoryBSpline, params: VisibilityParams,
     return value, grad_q, grad_phi
 
 
+# Every objective term, in evaluation order: its CostReport field, its
+# CostWeights field, its column in `CostReport.term_values` and the trace
+# files, and the arguments its function cost_<name> takes.
+Term = namedtuple("Term", "name weight column args")
+TERMS = (
+    Term("do", "w_do", "J_do", ("traj", "target", "params")),
+    Term("ao", "w_ao", "J_ao", ("traj", "target", "params")),
+    Term("oe", "w_oe", "J_oe", ("traj", "target", "params", "esdf")),
+    Term("feasibility", "w_f", "J_f", ("traj", "limits")),
+    Term("yaw_feasibility", "w_f_phi", "J_f_phi", ("traj", "limits")),
+    Term("smoothness", "w_s", "J_s", ("traj",)),
+    Term("yaw_smoothness", "w_s_phi", "J_s_phi", ("traj",)),
+    Term("collision", "w_c", "J_c", ("traj", "limits", "esdf")),
+    Term("safe_tracking", "w_v", "J_v", ("traj", "params", "limits")),
+)
+
+
+def weighted_terms(traj, target, esdf, params, weights, limits):
+    """(term, weight, (value, grad_q, grad_phi)) for each term of TERMS with
+    a nonzero weight, in order. Term functions are looked up when called, so
+    a replaced module attribute is the one that runs."""
+    args = {"traj": traj, "target": target, "esdf": esdf, "params": params,
+            "limits": limits}
+    for term in TERMS:
+        w = getattr(weights, term.weight)
+        if w != 0.0:
+            yield term, w, globals()["cost_" + term.name](
+                *[args[a] for a in term.args])
+
+
 def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
                params: VisibilityParams, weights: CostWeights,
                limits: DynamicLimits, fix_boundary: bool = True) -> CostReport:
@@ -371,27 +401,10 @@ def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     n = traj.num_control_points
     grad_q = np.zeros((n, 3))
     grad_phi = np.zeros(n)
-    vals = {}
-
-    terms = [
-        ("do", weights.w_do, lambda: cost_do(traj, target, params)),
-        ("ao", weights.w_ao, lambda: cost_ao(traj, target, params)),
-        ("oe", weights.w_oe, lambda: cost_oe(traj, target, params, esdf)),
-        ("feasibility", weights.w_f, lambda: cost_feasibility(traj, limits)),
-        ("feasibility_yaw", weights.w_f_phi,
-         lambda: cost_yaw_feasibility(traj, limits)),
-        ("smoothness", weights.w_s, lambda: cost_smoothness(traj)),
-        ("smoothness_yaw", weights.w_s_phi, lambda: cost_yaw_smoothness(traj)),
-        ("collision", weights.w_c, lambda: cost_collision(traj, limits, esdf)),
-        ("safe_tracking", weights.w_v,
-         lambda: cost_safe_tracking(traj, params, limits)),
-    ]
-    for name, w, fn in terms:
-        if w == 0.0:
-            vals[name] = 0.0
-            continue
-        v, gq, gp = fn()
-        vals[name] = v
+    vals = dict.fromkeys([t.name for t in TERMS], 0.0)
+    for term, w, (v, gq, gp) in weighted_terms(traj, target, esdf, params,
+                                               weights, limits):
+        vals[term.name] = v
         grad_q += w * gq
         grad_phi += w * gp
 
@@ -399,8 +412,6 @@ def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         grad_q[:3] = 0.0
         grad_phi[:3] = 0.0
 
-    total = sum(w * vals[name] for name, w, _ in terms)
-    return CostReport(vals["do"], vals["ao"], vals["oe"], vals["feasibility"],
-                      vals["feasibility_yaw"], vals["smoothness"],
-                      vals["smoothness_yaw"], vals["collision"],
-                      vals["safe_tracking"], float(total), grad_q, grad_phi)
+    total = sum(getattr(weights, t.weight) * vals[t.name] for t in TERMS)
+    return CostReport(**vals, total=float(total), grad_q=grad_q,
+                      grad_phi=grad_phi)

@@ -39,6 +39,9 @@ class OccupancyGrid:
     origin: np.ndarray
     dims: tuple[int, int, int]
     occupancy: np.ndarray | None = field(default=None, repr=False)
+    # (occupancy it was built from, summed-volume table)
+    _counts: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         res = self.resolution
@@ -84,6 +87,21 @@ class OccupancyGrid:
         if not self.in_bounds(cell):
             return False
         return bool(self.occupancy[cell])
+
+    def occupied_counts(self) -> np.ndarray:
+        """Read-only summed-volume table (Crow 1984) of the occupancy: entry
+        [i, j, k] counts the occupied cells in [0, i) x [0, j) x [0, k), so
+        the count of any box takes eight lookups. Built on first use and
+        again only after the occupancy changed."""
+        kept = self._counts
+        if kept is None or not np.array_equal(kept[0], self.occupancy):
+            nx, ny, nz = self.dims
+            table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
+            table[1:, 1:, 1:] = self.occupancy.cumsum(0, dtype=np.int32) \
+                .cumsum(1).cumsum(2)
+            table.flags.writeable = False
+            kept = self._counts = (self.occupancy.copy(), table)
+        return kept[1]
 
     def occupied_cells(self) -> np.ndarray:
         """(K, 3) int array of occupied cell indices."""
@@ -179,6 +197,16 @@ def finite_array(value, shape, name: str, what: str, integral: bool = False,
             or integral and (arr != np.round(arr)).any():
         raise GridError(f"{name} must be {what}, got {value!r}", name)
     return arr
+
+
+def require_finite(config) -> None:
+    """ValueError naming the first field of the config object `config` that
+    holds a NaN or an infinity, alone or in a tuple or list."""
+    for name, value in vars(config).items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        for v in items:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def load_grid(path, resolution: float | None = None,

@@ -12,14 +12,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtrtrs
 
 from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
-                    VisibilityParams, total_cost)
-from .env import ESDFField
+                    VisibilityParams, total_cost, weighted_terms)
+from .env import ESDFField, require_finite
 from .spline import TrajectoryBSpline
 
 _ARMIJO_C1 = 1e-4
@@ -47,6 +48,7 @@ class OptimizerConfig:
     wall_clock_budget: float = 0.05     # seconds; None disables the budget
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("max_iterations", "gradient_tolerance",
                      "relative_cost_tolerance", "history_size",
                      "max_line_search_steps"):
@@ -66,26 +68,10 @@ class OptimizeResult:
 
 
 def _find_nonfinite_term(traj, target, esdf, params, weights, limits) -> str:
-    from . import costs as c
-    probes = [
-        ("cost_do", weights.w_do, lambda: c.cost_do(traj, target, params)),
-        ("cost_ao", weights.w_ao, lambda: c.cost_ao(traj, target, params)),
-        ("cost_oe", weights.w_oe, lambda: c.cost_oe(traj, target, params, esdf)),
-        ("cost_feasibility", weights.w_f, lambda: c.cost_feasibility(traj, limits)),
-        ("cost_yaw_feasibility", weights.w_f_phi,
-         lambda: c.cost_yaw_feasibility(traj, limits)),
-        ("cost_smoothness", weights.w_s, lambda: c.cost_smoothness(traj)),
-        ("cost_yaw_smoothness", weights.w_s_phi, lambda: c.cost_yaw_smoothness(traj)),
-        ("cost_collision", weights.w_c, lambda: c.cost_collision(traj, limits, esdf)),
-        ("cost_safe_tracking", weights.w_v,
-         lambda: c.cost_safe_tracking(traj, params, limits)),
-    ]
-    for name, w, fn in probes:
-        if w == 0.0:
-            continue
-        v, gq, gp = fn()
+    for term, _, (v, gq, gp) in weighted_terms(traj, target, esdf, params,
+                                               weights, limits):
         if not (np.isfinite(v) and np.isfinite(gq).all() and np.isfinite(gp).all()):
-            return name
+            return f"cost_{term.name}"
     return "unknown term"
 
 
@@ -201,6 +187,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     return OptimizeResult(traj, best_report, iteration, termination, trace)
 
 
+@lru_cache(maxsize=16)
 def whitening_factors(n: int, dt: float, weights: CostWeights,
                       od_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper Cholesky factors (r_q, r_phi), r.T @ r = h, that whiten the
@@ -212,16 +199,21 @@ def whitening_factors(n: int, dt: float, weights: CostWeights,
     through the Cholesky factor of alpha*I + smoothness Hessian + a
     velocity-bound curvature estimate. Yaw keeps at least the od_max
     meters-per-radian conversion via alpha.
+
+    Built once per distinct set of arguments and shared by every later call
+    with them, so the factors are read-only.
     """
     nf = n - 3
-    d3 = _difference_operator(n, 3)[:, 3:] / dt ** 3
-    d1 = _difference_operator(n, 1)[:, 3:] / dt
+    d3 = np.diff(np.eye(n), 3, axis=0)[:, 3:] / dt ** 3
+    d1 = np.diff(np.eye(n), 1, axis=0)[:, 3:] / dt
     smooth_h = d3.T @ d3
     feas_h = d1.T @ d1
     h_q = np.eye(nf) + 2.0 * weights.w_s * smooth_h + 4.0 * weights.w_f * feas_h
     h_phi = od_max ** 2 * np.eye(nf) \
         + 2.0 * weights.w_s_phi * smooth_h + 4.0 * weights.w_f_phi * feas_h
-    return np.linalg.cholesky(h_q).T, np.linalg.cholesky(h_phi).T
+    r_q, r_phi = np.linalg.cholesky(h_q).T, np.linalg.cholesky(h_phi).T
+    r_q.flags.writeable = r_phi.flags.writeable = False
+    return r_q, r_phi
 
 
 def solve_triangular(a: np.ndarray, b: np.ndarray,
@@ -243,14 +235,6 @@ def solve_triangular(a: np.ndarray, b: np.ndarray,
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of trtrs")
     return x
-
-
-def _difference_operator(n: int, order: int) -> np.ndarray:
-    """(n - order, n) finite-difference stencil matrix (unscaled by dt)."""
-    op = np.eye(n)
-    for _ in range(order):
-        op = op[1:] - op[:-1]
-    return op
 
 
 def _lbfgs_direction(grad: np.ndarray, s_hist, y_hist) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import DynamicLimits
-from .env import ESDFField, OccupancyGrid
+from .env import ESDFField, OccupancyGrid, require_finite
 
 
 class SearchError(RuntimeError):
@@ -63,6 +63,7 @@ class SearchConfig:
     occlusion_check: bool = True
 
     def __post_init__(self):
+        require_finite(self)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         fr = sorted(self.accel_fractions)
@@ -77,7 +78,6 @@ class SearchNode:
     time: float
     cost: float
     parent: "SearchNode | None" = None
-    accel: list[float] | None = None
     sighted: bool = True      # line of sight acquired somewhere on the path
     deviation: float = 0.0    # accumulated gap to the follow point (tiebreak)
 
@@ -202,16 +202,13 @@ def _sight_certificate(grid: OccupancyGrid):
 
     The traversal never leaves the box of its end cells grown by one cell
     (it may cross the face of b's cell that b lies on), so a box that holds
-    no occupied cell proves the ray clear. A summed-volume table (Crow 1984)
+    no occupied cell proves the ray clear; the grid's summed-volume table
     counts the occupied cells of any box in eight lookups.
     """
     res = grid.resolution
     ox, oy, oz = grid.origin.tolist()
     nx, ny, nz = grid.dims
-    table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
-    table[1:, 1:, 1:] = grid.occupancy.cumsum(0, dtype=np.int32) \
-        .cumsum(1).cumsum(2)
-    total = memoryview(table.reshape(-1))
+    total = memoryview(grid.occupied_counts().reshape(-1))
     sx, sy = (ny + 1) * (nz + 1), nz + 1
 
     def clear(a, b_cell) -> bool:
@@ -372,7 +369,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # operations in the same order as the former numpy batch
     prims = list(enumerate(zip((accels * tau).tolist(),
                                (0.5 * accels * tau * tau).tolist(),
-                               step_cost.tolist(), accels.tolist())))
+                               step_cost.tolist())))
     max_time = cfg.horizon_slack * horizon + 1e-9
     v_quant = max(limits.a_m * tau, 1e-6)
     inv_prune = 1.0 / cfg.prune_resolution
@@ -488,7 +485,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         vx, vy, vz = node.velocity
         mx, my, mz = x + vx * tau, y + vy * tau, z + vz * tau
         live = []
-        for i, ((tx, ty, tz), (sx, sy, sz), step, acc) in prims:
+        for i, ((tx, ty, tz), (sx, sy, sz), step) in prims:
             nvx, nvy, nvz = vx + tx, vy + ty, vz + tz
             if not nvx * nvx + nvy * nvy + nvz * nvz <= v_m2:
                 continue
@@ -507,8 +504,8 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 if k_sighted in closed or (prev is not None
                                            and prev <= g_new):
                     continue
-            live.append((i, [nx_, ny_, nz_], [nvx, nvy, nvz], acc, dev,
-                         g_new, row))
+            live.append((i, [nx_, ny_, nz_], [nvx, nvy, nvz], dev, g_new,
+                         row))
         if not live:
             continue
 
@@ -524,7 +521,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             dist = esdf.distance_at(segs.reshape(-1, 3))
             dist = dist.reshape(len(live), -1).min(axis=1).tolist()
 
-        for idx, (i, p, v, acc, dev, g_new, row) in enumerate(live):
+        for idx, (i, p, v, dev, g_new, row) in enumerate(live):
             if dist is not None and dist[idx] <= clearance:
                 continue
             if cfg.occlusion_check:
@@ -544,8 +541,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 continue
             best_g[nkey] = g_new
             dev_new = node.deviation + dev
-            child = SearchNode(p, v, t_next, g_new, node, acc, sighted,
-                               dev_new)
+            child = SearchNode(p, v, t_next, g_new, node, sighted, dev_new)
             f = g_new + heuristic(p, v, t_next)
             heapq.heappush(open_heap, (f, dev_new, nkey, next(counter), child))
 

@@ -1,10 +1,11 @@
 """Headless tracking simulator.
 
-Steps a scripted or randomized target, replans at a fixed rate
-(predict -> search -> optimize), advances the robot by exact evaluation of
-the committed trajectory, and scores visibility per step. A run ends at its
-scheduled duration, at the first step the target is lost (occluded or out of
-the FOV cone -- latched), or when the planner has nothing left to execute.
+Steps a scripted or randomized target, replans at a fixed rate through a
+`Planner` (predict -> search -> optimize), advances the robot by exact
+evaluation of the committed trajectory, and scores visibility per step. A
+run ends at its scheduled duration, at the first step the target is lost
+(occluded or out of the FOV cone -- latched), or when the planner has
+nothing left to execute.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import CostWeights, DynamicLimits, VisibilityParams
+from .costs import TERMS, CostWeights, DynamicLimits, VisibilityParams
 from .env import (ESDFField, GridError, OccupancyGrid, build_esdf,
                   finite_array, load_grid)
 from .optimizer import OptimizerConfig, optimize
@@ -183,8 +184,8 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 @dataclass
 class Scenario:
     """A loaded tracking scenario. `esdf` is the truncated ESDF of `grid`
-    at `d_trunc`, built once at load and used by `run`; it belongs to that
-    grid, so the grid must not change after loading."""
+    at `d_trunc`, built once at load and used by the planner; it belongs to
+    that grid, so the grid must not change after loading."""
 
     name: str
     grid: OccupancyGrid
@@ -237,11 +238,8 @@ class Scenario:
             "num_control_points": self.num_control_points,
             "fov_h_half_rad": self.fov_h_half,
             "fov_v_half_rad": self.fov_v_half,
-            "weights": {k: getattr(w, k) for k in
-                        ("w_do", "w_ao", "w_oe", "w_f", "w_f_phi", "w_s",
-                         "w_s_phi", "w_c", "w_v")},
-            "limits": {k: getattr(self.limits, k) for k in
-                       ("v_m", "a_m", "v_phi_m", "a_phi_m", "d_thr", "psi_thr")},
+            "weights": {t.weight: getattr(w, t.weight) for t in TERMS},
+            "limits": dataclasses.asdict(self.limits),
             "params": {k: getattr(self.params, k) for k in
                        ("od_min", "od_max", "rho", "m_balls")},
         }
@@ -259,17 +257,20 @@ _REQUIRED = object()
 def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
             above=None):
     """d[key] (or `default` when absent) converted by `kind` (float or int);
-    a value that does not convert, or is not greater than `above` when that
-    is given, is a ScenarioError naming the field."""
+    a value that does not convert, is not finite, or is not greater than
+    `above` when that is given, is a ScenarioError naming the field."""
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
     try:
         number = kind(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(
             f"scenario field '{_field_name(ctx, key)}' must be "
             f"{'an integer' if kind is int else 'a number'}, got {value!r}"
         ) from e
+    if not math.isfinite(number):
+        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
+                            f"be a finite number, got {value!r}")
     if above is not None and not number > above:
         bound = f"at least {above + 1}" if kind is int \
             else f"greater than {above}"
@@ -430,26 +431,26 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
             raise ScenarioError("scenario field 'map.generator.area' must be "
                                 f"a list of 2 positive numbers, got "
                                 f"{g['area']!r}")
+        resolution = _number(g, "resolution", "map.generator", 0.1, above=0)
+        if any(round(float(a) / resolution) < 1 for a in area):
+            raise ScenarioError("scenario field 'map.generator.area' must "
+                                "span at least one cell at the generator's "
+                                f"resolution {resolution!r}, got "
+                                f"{g['area']!r}")
         radii = _vector(g, "radius_range", "map.generator", shape=(2,),
                         what="a list [low, high] with 0 < low <= high")
         if not 0.0 < radii[0] <= radii[1]:
             raise ScenarioError("scenario field 'map.generator.radius_range' "
                                 "must be a list [low, high] with 0 < low <= "
                                 f"high, got {g['radius_range']!r}")
-        try:
-            return generate_random_forest(
-                seed=_number(g, "seed", "map.generator", seed, int),
-                area=area,
-                count=_number(g, "count", "map.generator", kind=int,
-                              above=-1),
-                radius_range=radii,
-                resolution=_number(g, "resolution", "map.generator", 0.1,
-                                   above=0),
-                keep_clear=keep_clear,
-                clearance=_number(g, "clearance", "map.generator", 1.0))
-        except GridError as e:
-            raise ScenarioError(f"scenario field 'map.generator.area': {e}") \
-                from e
+        return generate_random_forest(
+            seed=_number(g, "seed", "map.generator", seed, int),
+            area=area,
+            count=_number(g, "count", "map.generator", kind=int, above=-1),
+            radius_range=radii,
+            resolution=resolution,
+            keep_clear=keep_clear,
+            clearance=_number(g, "clearance", "map.generator", 1.0))
     if "dims" in m:
         try:
             return OccupancyGrid.from_json_dict(m)
@@ -486,13 +487,6 @@ def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScri
 
 # ---------------------------------------------------------------------------
 # visibility metrics
-
-
-def in_fov(robot_p, yaw: float, target_p, fov_h_half: float,
-           fov_v_half: float, grid: OccupancyGrid) -> bool:
-    """Target inside the yaw-aligned cone and not occluded."""
-    return _cone_contains(robot_p, yaw, target_p, fov_h_half, fov_v_half) \
-        and not raycast_occluded(grid, robot_p, target_p)
 
 
 def _cone_contains(robot_p, yaw, target_p, fov_h_half, fov_v_half) -> bool:
@@ -616,32 +610,110 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
 
 
 # ---------------------------------------------------------------------------
+# planner
+
+
+class Planner:
+    """The replan pipeline of one run: predict the target, reuse the last
+    front-end path or search a new one, fit a seed spline to it and optimize
+    position and yaw. Keeps the path between cycles and, with
+    `collect_traces`, the expanded search nodes, the optimizer's costs per
+    iteration and each replan's final costs."""
+
+    def __init__(self, scenario: Scenario, collect_traces: bool = False):
+        sc = self.scenario = scenario
+        self.dt_knot = sc.horizon / (sc.num_control_points - 3)
+        self.wp_offsets = np.arange(sc.num_control_points - 2) * self.dt_knot
+        self.search_horizon = sc.search_horizon \
+            if sc.search_horizon is not None else sc.horizon
+        self.track_offsets = np.arange(
+            0, sc.search_config.horizon_slack
+            * max(self.search_horizon, sc.horizon) + self.dt_knot,
+            self.dt_knot / 2.0)
+        self.standoff = sc.search_config.standoff
+        if self.standoff is None:
+            self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
+        self.weights = sc.effective_weights()
+        # visibility-blind: the front end stops rejecting sight-losing nodes
+        self.search_config = sc.search_config if sc.mode != "baseline" \
+            else replace(sc.search_config, occlusion_check=False)
+        self.collect_traces = collect_traces
+        self.held_path = None   # (abs_points, abs_times) of the last search
+        self.search_trace, self.opt_trace, self.cost_dumps = [], [], []
+
+    def replan(self, t: float, state: RobotState, history: HistoryBuffer):
+        """A trajectory from `state` at time `t`, or None when the search
+        finds no path."""
+        sc = self.scenario
+        model = fit(history.snapshot(), degree=sc.predict_degree,
+                    ridge=sc.predict_ridge, window=sc.predict_window,
+                    horizon=sc.horizon, v_max=sc.predict_v_max)
+        track_all = predict_track(model, t + self.track_offsets)
+
+        def target_at(s, _track=track_all, _dt=self.dt_knot / 2.0):
+            idx = min(int(round(s / _dt)), len(_track) - 1)
+            return _track.c[idx]
+
+        # the previous front-end path usually still checks out against the
+        # fresh prediction; re-searching every cycle would dominate latency
+        reused = _revalidate_path(self.held_path, t, state, target_at,
+                                  sc.grid, sc.esdf, sc.limits,
+                                  self.search_config, self.search_horizon,
+                                  self.standoff)
+        if reused is not None:
+            pts, times = reused
+        else:
+            try:
+                pts, times = search(state, target_at, sc.grid, sc.esdf,
+                                    sc.limits, self.search_config,
+                                    horizon=self.search_horizon,
+                                    standoff=self.standoff,
+                                    trace=self.search_trace
+                                    if self.collect_traces else None)
+                self.held_path = (pts + 0.0, times + t)
+            except SearchError:
+                self.held_path = None
+                return None
+
+        if sc.mode == "baseline":
+            yaw_targets = None
+        else:
+            future = predict_track(model, t + times).c
+            look = future - pts
+            yaw_targets = np.arctan2(look[:, 1], look[:, 0])
+            hdeg = np.hypot(look[:, 0], look[:, 1]) < 1e-6
+            yaw_targets[hdeg] = state.yaw
+
+        seed_traj = initialize_from_path(pts, times, state, self.dt_knot,
+                                         sc.num_control_points,
+                                         yaw_targets=yaw_targets)
+        track = predict_track(model, t + self.wp_offsets)
+        result = optimize(seed_traj, track, sc.esdf, sc.params, self.weights,
+                          sc.limits, sc.optimizer_config,
+                          keep_trace=self.collect_traces)
+        if self.collect_traces:
+            self.opt_trace.append((t, result.trace))
+            self.cost_dumps.append((t, result.final_report.term_values()))
+        return result.trajectory
+
+
+# ---------------------------------------------------------------------------
 # main loop
 
 
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
-    esdf = sc.esdf
     rng = np.random.default_rng(sc.seed)
     history = HistoryBuffer(span=sc.predict_window * 2.0)
-    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
-
-    dt_knot = sc.horizon / (sc.num_control_points - 3)
-    wp_offsets = np.arange(sc.num_control_points - 2) * dt_knot
-    standoff = sc.search_config.standoff
-    if standoff is None:
-        standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
-    weights = sc.effective_weights()
-    search_cfg = sc.search_config
-    if sc.mode == "baseline":
-        # visibility-blind: the front-end stops rejecting sight-losing nodes
-        search_cfg = replace(search_cfg, occlusion_check=False)
+    planner = Planner(sc, collect_traces)
+    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
+                       cost_dumps=planner.cost_dumps,
+                       opt_trace=planner.opt_trace,
+                       search_trace=planner.search_trace)
     half_bins = report.heatmap.shape[0] // 2
 
     committed = None        # (trajectory, start time)
-    held_path = None        # (abs_points, abs_times) of the last search
     n_steps = int(round(sc.duration / sc.replan_period))
-    failure_latched = False
 
     for i in range(n_steps + 1):
         t = i * sc.replan_period
@@ -689,75 +761,24 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
         else:
             report.termination = "target_lost"
             report.failure_time = t
-            failure_latched = True
             break
 
         history.push(t, target_p)
         if i == n_steps:
             break
 
-        # --- replan ---------------------------------------------------------
         t_wall = time.perf_counter()
-        model = fit(history.snapshot(), degree=sc.predict_degree,
-                    ridge=sc.predict_ridge, window=sc.predict_window,
-                    horizon=sc.horizon, v_max=sc.predict_v_max)
-        s_horizon = sc.search_horizon if sc.search_horizon is not None \
-            else sc.horizon
-        track_all = predict_track(model, t + np.arange(
-            0, sc.search_config.horizon_slack * max(s_horizon, sc.horizon)
-            + dt_knot, dt_knot / 2.0))
-
-        def target_at(s, _track=track_all, _dt=dt_knot / 2.0):
-            idx = min(int(round(s / _dt)), len(_track) - 1)
-            return _track.c[idx]
-
-        # the previous front-end path usually still checks out against the
-        # fresh prediction; re-searching every cycle would dominate latency
-        reused = _revalidate_path(held_path, t, state, target_at, sc.grid,
-                                  esdf, sc.limits, search_cfg, s_horizon,
-                                  standoff)
-        if reused is not None:
-            pts, times = reused
-        else:
-            try:
-                pts, times = search(state, target_at, sc.grid, esdf,
-                                    sc.limits, search_cfg, horizon=s_horizon,
-                                    standoff=standoff,
-                                    trace=report.search_trace
-                                    if collect_traces else None)
-                held_path = (pts + 0.0, times + t)
-            except SearchError:
-                held_path = None
-                report.replan_times.append(time.perf_counter() - t_wall)
-                if committed is None:
-                    report.termination = "planner_failure"
-                    report.failure_time = t
-                    break
-                continue    # keep flying the committed trajectory
-
-        if sc.mode == "baseline":
-            yaw_targets = None
-        else:
-            future = predict_track(model, t + times).c
-            look = future - pts
-            yaw_targets = np.arctan2(look[:, 1], look[:, 0])
-            hdeg = np.hypot(look[:, 0], look[:, 1]) < 1e-6
-            yaw_targets[hdeg] = state.yaw
-
-        seed_traj = initialize_from_path(pts, times, state, dt_knot,
-                                         sc.num_control_points,
-                                         yaw_targets=yaw_targets)
-        track = predict_track(model, t + wp_offsets)
-        result = optimize(seed_traj, track, esdf, sc.params, weights,
-                          sc.limits, sc.optimizer_config,
-                          keep_trace=collect_traces)
-        committed = (result.trajectory, t)
+        traj = planner.replan(t, state, history)
         report.replan_times.append(time.perf_counter() - t_wall)
-        if collect_traces:
-            report.opt_trace.append((t, result.trace))
-            report.cost_dumps.append((t, result.final_report.term_values()))
+        if traj is not None:
+            committed = (traj, t)
+        elif committed is None:
+            report.termination = "planner_failure"
+            report.failure_time = t
+            break
+        # else keep flying the committed trajectory
 
-    if not failure_latched and report.termination == "completed":
+    if report.termination == "completed":
         report.failure_time = sc.duration
     return report
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -63,12 +64,21 @@ class TestRunCommand:
         ("search", "tau", 0, "tau"),
         ("robot_start", "p", "abc", "robot_start.p"),
         (None, "d_trunc", -1, "d_trunc"),
+        # JSON's NaN and Infinity, one field per config section
+        ("weights", "w_do", math.nan, "w_do"),
+        ("limits", "v_m", math.nan, "v_m"),
+        ("params", "rho", math.inf, "rho"),
+        ("search", "tau", math.nan, "tau"),
+        ("optimizer", "max_iterations", math.nan, "max_iterations"),
+        (None, "pose_noise_sigma", math.nan, "pose_noise_sigma"),
+        (None, "num_control_points", math.inf, "num_control_points"),
+        ("predict", "ridge", -math.inf, "predict.ridge"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
                                              capsys, section, key, value,
                                              named):
         raw = json.loads(open(mini_path).read())
-        (raw[section] if section else raw)[key] = value
+        (raw.setdefault(section, {}) if section else raw)[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         code = main(["run", "--scenario", str(bad),
@@ -123,6 +133,18 @@ class TestRunCommand:
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_generator_area_below_one_cell(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario("forest").read_text())
+        raw["map"]["generator"]["area"] = [0.01, 20]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'map.generator.area' must span at least one cell" in err
+        assert "dims" not in err
 
     def test_dump_flags(self, mini_path, tmp_path):
         out = tmp_path / "out"

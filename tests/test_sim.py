@@ -8,10 +8,17 @@ from visiplan import sim
 from visiplan.env import OccupancyGrid, build_esdf
 from visiplan.search import raycast_occluded
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, ScenarioError,
-                          WaypointScript, bundled_scenario, dumps_canonical,
-                          generate_random_forest, in_fov, load_scenario,
-                          random_target_script, run, scenario_from_dict,
-                          write_outputs)
+                          WaypointScript, _cone_contains, bundled_scenario,
+                          dumps_canonical, generate_random_forest,
+                          load_scenario, random_target_script, run,
+                          scenario_from_dict, write_outputs)
+
+
+def in_fov(robot_p, yaw, target_p, fov_h_half, fov_v_half, grid):
+    """The simulator's visibility test: the target lies inside the
+    yaw-aligned cone and the ray to it is not occluded."""
+    return _cone_contains(robot_p, yaw, target_p, fov_h_half, fov_v_half) \
+        and not raycast_occluded(grid, robot_p, target_p)
 
 
 def mini_report(mode="visibility", seed=None):
