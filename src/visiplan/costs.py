@@ -10,13 +10,12 @@ Inequality constraints enter through the C2 hinge penalty(x) = max(0, x)^3.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .env import ESDFField, require_finite
+from .env import ESDFField, require_valid_fields
 from .spline import TrajectoryBSpline, wrap_angle
 
 DEGENERATE_EPS = 1e-6      # min horizontal robot-target distance for yaw terms
@@ -39,7 +38,7 @@ class VisibilityParams:
     ao_sign_as_printed: bool = False
 
     def __post_init__(self):
-        require_finite(self)
+        require_valid_fields(self)
         if not 0 < self.od_min < self.od_max:
             raise ValueError("need 0 < od_min < od_max")
         if self.rho <= 0 or self.m_balls < 1:
@@ -59,7 +58,7 @@ class CostWeights:
     w_v: float = 2.0
 
     def __post_init__(self):
-        require_finite(self)
+        require_valid_fields(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
@@ -79,7 +78,7 @@ class DynamicLimits:
     psi_thr: float = 0.6
 
     def __post_init__(self):
-        require_finite(self)
+        require_valid_fields(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
@@ -119,9 +118,6 @@ class CostReport:
         values = {t.column: getattr(self, t.name) for t in TERMS}
         values["total"] = self.total
         return values
-
-    def to_json(self) -> str:
-        return json.dumps(self.term_values(), indent=2)
 
 
 def penalty(x):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,18 +146,6 @@ class OccupancyGrid:
         grid.occupancy[tuple(cells.T)] = True
         return grid
 
-    def to_ascii(self) -> str:
-        """nz=1 raster, '#' occupied / '.' free. First line is the row with
-        the largest y index so the text reads like a map with +y upward.
-        """
-        if self.dims[2] != 1:
-            raise GridError("ASCII raster only supports nz=1 grids")
-        rows = []
-        for j in range(self.dims[1] - 1, -1, -1):
-            rows.append("".join("#" if self.occupancy[i, j, 0] else "."
-                                for i in range(self.dims[0])))
-        return "\n".join(rows) + "\n"
-
     @classmethod
     def from_ascii(cls, text: str, resolution: float,
                    origin=(0.0, 0.0, 0.0)) -> "OccupancyGrid":
@@ -199,14 +187,32 @@ def finite_array(value, shape, name: str, what: str, integral: bool = False,
     return arr
 
 
-def require_finite(config) -> None:
-    """ValueError naming the first field of the config object `config` that
-    holds a NaN or an infinity, alone or in a tuple or list."""
-    for name, value in vars(config).items():
-        items = value if isinstance(value, (tuple, list)) else (value,)
-        for v in items:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+def is_number(value, kind) -> bool:
+    """True iff `value` is a finite real number, and integral (20 or 20.0)
+    when `kind` is int; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(x) and (kind is not int or x.is_integer())
+
+
+def require_valid_fields(config) -> None:
+    """ValueError naming the first field of the config dataclass `config`
+    whose value does not fit its annotation: a `bool` field holds True or
+    False, an `int` field an integral number and a `float` field a finite
+    one."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "bool":
+            if not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, "
+                                 f"got {value!r}")
+        elif not is_number(value, int if f.type == "int" else float):
+            what = "an integer" if f.type == "int" else "a finite number"
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 def load_grid(path, resolution: float | None = None,

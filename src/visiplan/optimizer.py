@@ -9,7 +9,6 @@ never touched.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -20,17 +19,18 @@ from scipy.linalg.lapack import dtrtrs
 
 from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
                     VisibilityParams, total_cost, weighted_terms)
-from .env import ESDFField, require_finite
+from .env import ESDFField, require_valid_fields
 from .spline import TrajectoryBSpline
 
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
+_HISTORY_SIZE = 8            # curvature pairs kept by the L-BFGS update
+_MAX_LINE_SEARCH_STEPS = 40
 
 
 class Termination(Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
-    BUDGET_EXHAUSTED = "budget_exhausted"
     LINE_SEARCH_FAILURE = "line_search_failure"
 
 
@@ -43,19 +43,13 @@ class OptimizerConfig:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-5
     relative_cost_tolerance: float = 1e-8
-    history_size: int = 8
-    max_line_search_steps: int = 40
-    wall_clock_budget: float = 0.05     # seconds; None disables the budget
 
     def __post_init__(self):
-        require_finite(self)
+        require_valid_fields(self)
         for name in ("max_iterations", "gradient_tolerance",
-                     "relative_cost_tolerance", "history_size",
-                     "max_line_search_steps"):
+                     "relative_cost_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.wall_clock_budget is not None and self.wall_clock_budget <= 0:
-            raise ValueError("wall_clock_budget must be positive or None")
 
 
 @dataclass
@@ -87,7 +81,6 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     deterministic for identical inputs.
     """
     cfg = config or OptimizerConfig()
-    start = time.perf_counter()
     traj = initial.copy()
     n = traj.num_control_points
     nf = n - 3                       # free control points per block
@@ -129,10 +122,6 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         if np.max(np.abs(grad)) <= cfg.gradient_tolerance:
             termination = Termination.CONVERGED
             break
-        if cfg.wall_clock_budget is not None and \
-                time.perf_counter() - start > cfg.wall_clock_budget:
-            termination = Termination.BUDGET_EXHAUSTED
-            break
 
         d = _lbfgs_direction(grad, s_hist, y_hist)
         if d @ grad >= 0.0:      # not a descent direction; reset memory
@@ -145,7 +134,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         step = 1.0 if s_hist else min(1.0, 1.0 / max(np.linalg.norm(d), 1.0))
         f0, g_dot_d = report.total, grad @ d
         accepted = None
-        for _ in range(cfg.max_line_search_steps):
+        for _ in range(_MAX_LINE_SEARCH_STEPS):
             x_new = x + step * d
             rep_new, grad_new = eval_at(x_new)
             if not (np.isfinite(rep_new.total) and np.isfinite(grad_new).all()):
@@ -165,7 +154,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         x_new, rep_new, grad_new = accepted
         s_hist.append(x_new - x)
         y_hist.append(grad_new - grad)
-        if len(s_hist) > cfg.history_size:
+        if len(s_hist) > _HISTORY_SIZE:
             s_hist.pop(0)
             y_hist.pop(0)
 

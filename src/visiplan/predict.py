@@ -14,6 +14,8 @@ import numpy as np
 
 from .costs import TargetTrack
 
+_SPEED_PROBE_DT = 0.01     # s, spacing of the speed-bound probe
+
 
 @dataclass
 class TargetObservation:
@@ -111,12 +113,12 @@ def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
     return coeffs, float(np.sqrt((resid ** 2).mean()))
 
 
-def _saturation_time(model: PredictionModel, t_end: float,
-                     probe_dt: float = 0.01) -> float | None:
-    """First forecast time at which fitted speed exceeds the bound."""
+def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
+    """First forecast time, on a `_SPEED_PROBE_DT` grid, at which fitted
+    speed exceeds the bound."""
     if model.degree == 0:
         return None
-    s = np.arange(0.0, t_end - model.t_ref + probe_dt, probe_dt)
+    s = np.arange(0.0, t_end - model.t_ref + _SPEED_PROBE_DT, _SPEED_PROBE_DT)
     k = np.arange(1, model.degree + 1)
     dbasis = k[None, :] * s[:, None] ** (k - 1)[None, :]
     speeds = np.linalg.norm(dbasis @ model.coeffs[1:], axis=1)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import DynamicLimits
-from .env import ESDFField, OccupancyGrid, require_finite
+from .env import ESDFField, OccupancyGrid, require_valid_fields
 
 
 class SearchError(RuntimeError):
@@ -33,26 +33,27 @@ class InvalidStart(SearchError):
     """Start state in collision."""
 
 
+ACCEL_FRACTIONS = (-1.0, 0.0, 1.0)     # of a_m per axis
+COLLISION_SAMPLES = 5                  # clearance samples per primitive
+GOAL_TOLERANCE = 0.5                   # radial slack of the goal annulus
+# cost per second per meter of gap to the follow point (the predicted target
+# offset by the standoff along the initial bearing). Keeps progress paced
+# over the whole plan: without it, receding-horizon execution always rides a
+# coast-now-brake-later prefix and creeps toward the target. Small enough
+# not to distort the search ordering.
+TRACKING_WEIGHT = 0.05
+
+
 @dataclass
 class SearchConfig:
     tau: float = 0.2                     # primitive duration
-    accel_fractions: tuple = (-1.0, 0.0, 1.0)   # of a_m per axis
     prune_resolution: float = 0.2        # position hashing
     heuristic_weight: float = 1.2
     max_expansions: int = 4000
-    standoff: float | None = None        # default (od_min + od_max) / 2
-    goal_tolerance: float = 0.5
-    collision_samples: int = 5
     horizon_slack: float = 2.0           # allow paths up to slack * horizon
     # extra cost per primitive at full acceleration, as a fraction of tau;
     # keeps equal-duration paths ordered by control effort
     effort_weight: float = 0.1
-    # cost per second per meter of gap to the follow point (the predicted
-    # target offset by the standoff along the initial bearing). Keeps
-    # progress paced over the whole plan: without it, receding-horizon
-    # execution always rides a coast-now-brake-later prefix and creeps
-    # toward the target. Small enough not to distort the search ordering.
-    tracking_weight: float = 0.05
     # steer toward the follow-behind point of the goal annulus (the annulus
     # point on the start-to-target line). Faster and yields natural chase
     # geometry, but foregoes the admissible lower bound; disable for
@@ -63,12 +64,9 @@ class SearchConfig:
     occlusion_check: bool = True
 
     def __post_init__(self):
-        require_finite(self)
+        require_valid_fields(self)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        fr = sorted(self.accel_fractions)
-        if any(abs(a + b) > 1e-12 for a, b in zip(fr, reversed(fr))):
-            raise ValueError("acceleration set must be symmetric about 0")
 
 
 @dataclass
@@ -309,7 +307,7 @@ def _clearance_certificate(esdf: ESDFField, clearance: float,
 
 def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
            limits: DynamicLimits, config: SearchConfig | None = None,
-           horizon: float = 3.0, standoff: float | None = None,
+           horizon: float = 3.0, *, standoff: float,
            trace: list | None = None):
     """Plan a feasible, occlusion-free primitive path toward the target.
 
@@ -343,24 +341,21 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         raise InvalidStart(f"start position {p0.tolist()} is in collision")
 
     goal_center = np.asarray(target_at(horizon), dtype=np.float64)
-    standoff = standoff if standoff is not None else cfg.standoff
-    if standoff is None:
-        raise ValueError("standoff distance required")
 
     if planar:
-        accels = np.array([[ax, ay, 0.0] for ax in cfg.accel_fractions
-                           for ay in cfg.accel_fractions])
+        accels = np.array([[ax, ay, 0.0] for ax in ACCEL_FRACTIONS
+                           for ay in ACCEL_FRACTIONS])
     else:
-        accels = np.array([[ax, ay, az] for ax in cfg.accel_fractions
-                           for ay in cfg.accel_fractions
-                           for az in cfg.accel_fractions])
+        accels = np.array([[ax, ay, az] for ax in ACCEL_FRACTIONS
+                           for ay in ACCEL_FRACTIONS
+                           for az in ACCEL_FRACTIONS])
     accels = accels * limits.a_m
     # per-axis primitives reach sqrt(axes) * a_m along a diagonal; the
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
     tau = cfg.tau
-    samp_t = np.linspace(0.0, tau, max(cfg.collision_samples, 2))
+    samp_t = np.linspace(0.0, tau, COLLISION_SAMPLES)
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
     step_cost = tau * (1.0 + cfg.effort_weight
@@ -377,7 +372,6 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     gx, gy, gz = (float(v) for v in goal_center)
     v_m2 = limits.v_m ** 2
     hw = cfg.heuristic_weight
-    tw = cfg.tracking_weight
 
     # a primitive's samples stay within |v| * tau + a_max * tau^2 / 2 of
     # its node
@@ -391,7 +385,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         if t < horizon - 1e-9:
             return False
         gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
-        return abs(gap - standoff) <= cfg.goal_tolerance
+        return abs(gap - standoff) <= GOAL_TOLERANCE
 
     # px, py, pz below are read by the heuristic's closure: never rebind them
     if cfg.guided:
@@ -402,18 +396,18 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
         def heuristic(p, v, t) -> float:
             rx, ry, rz = px - p[0], py - p[1], pz - p[2]
-            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - cfg.goal_tolerance
+            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
             if dist <= 0.0:
                 return max(horizon - t, 0.0)
             toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / (dist + cfg.goal_tolerance), 0.0)
+                         / (dist + GOAL_TOLERANCE), 0.0)
             return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
                        horizon - t)
     else:
         def heuristic(p, v, t) -> float:
             rx, ry, rz = gx - p[0], gy - p[1], gz - p[2]
             gap = math.sqrt(rx * rx + ry * ry + rz * rz)
-            dist = abs(gap - standoff) - cfg.goal_tolerance
+            dist = abs(gap - standoff) - GOAL_TOLERANCE
             if dist <= 0.0:
                 return max(horizon - t, 0.0)
             toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
@@ -494,7 +488,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 continue
             dx, dy, dz = nx_ - fx, ny_ - fy, nz_ - fz
             dev = tau * math.sqrt(dx * dx + dy * dy + dz * dz)
-            g_new = node.cost + step + tw * dev
+            g_new = node.cost + step + TRACKING_WEIGHT * dev
             row = (round(nx_ * inv_prune), round(ny_ * inv_prune),
                    round(nz_ * inv_prune), round(nvx * inv_vq),
                    round(nvy * inv_vq), round(nvz * inv_vq), layer)

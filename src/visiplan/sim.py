@@ -21,11 +21,11 @@ import numpy as np
 
 from .costs import TERMS, CostWeights, DynamicLimits, VisibilityParams
 from .env import (ESDFField, GridError, OccupancyGrid, build_esdf,
-                  finite_array, load_grid)
+                  finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
 from .predict import HistoryBuffer, fit, predict_track
-from .search import (SearchConfig, SearchError, raycast_occluded,
-                     search)
+from .search import (GOAL_TOLERANCE, SearchConfig, SearchError,
+                     raycast_occluded, search)
 from .spline import RobotState, initialize_from_path, wrap_angle
 
 HEATMAP_WINDOW = 8.0      # meters, robot-centered, x-y
@@ -86,35 +86,36 @@ class WaypointScript:
         u = (t - ts[i]) / (ts[i + 1] - ts[i])
         return ps[i] + u * (ps[i + 1] - ps[i])
 
-    def end_time(self) -> float:
-        return float(self.times[-1])
+
+_WALK_LEG_RANGE = (2.0, 5.0)    # meters per leg of a random target walk
+_WALK_MAX_TURN = 1.6            # radians between consecutive legs
+_WALK_START_HOLD = 0.5          # seconds the walker waits at its start
+_WALK_MAX_TRIES = 200           # candidate legs before giving up
 
 
 def random_target_script(rng: np.random.Generator, esdf: ESDFField,
                          start, speed: float, duration: float,
-                         bounds, clearance: float = 0.6,
-                         leg_range=(2.0, 5.0), max_turn: float = 1.6,
-                         start_hold: float = 0.5,
-                         max_tries: int = 200) -> WaypointScript:
+                         bounds, clearance: float = 0.6) -> WaypointScript:
     """Random piecewise-linear walk through free space: every leg stays at
     least `clearance` from obstacles along its whole length, and consecutive
-    legs turn by at most `max_turn` radians (a point target can hairpin, a
-    vehicle-like one does not)."""
+    legs turn by at most `_WALK_MAX_TURN` radians (a point target can
+    hairpin, a vehicle-like one does not)."""
     bounds = np.asarray(bounds, dtype=np.float64)
     pts = [np.asarray(start, dtype=np.float64)]
     along = np.linspace(0, 1, 24)[:, None]
     heading = None
-    total_time = start_hold
+    total_time = _WALK_START_HOLD
     while total_time < duration:
         placed = False
-        for attempt in range(max_tries):
+        for attempt in range(_WALK_MAX_TRIES):
             if heading is None:
                 ang = rng.uniform(0.0, 2.0 * math.pi)
             else:
                 # widen the cone if the map pins the walker down
-                spread = max_turn if attempt < max_tries // 2 else math.pi
+                spread = _WALK_MAX_TURN if attempt < _WALK_MAX_TRIES // 2 \
+                    else math.pi
                 ang = heading + rng.uniform(-spread, spread)
-            leg = rng.uniform(*leg_range)
+            leg = rng.uniform(*_WALK_LEG_RANGE)
             cand = pts[-1] + leg * np.array([math.cos(ang), math.sin(ang), 0.0])
             if np.any(cand < bounds[:, 0]) or np.any(cand > bounds[:, 1]):
                 continue
@@ -128,17 +129,19 @@ def random_target_script(rng: np.random.Generator, esdf: ESDFField,
             break
         if not placed:
             raise ScenarioError("could not extend random target path")
-    return WaypointScript.from_path(np.stack(pts), speed, start_hold)
+    return WaypointScript.from_path(np.stack(pts), speed, _WALK_START_HOLD)
 
 
 # ---------------------------------------------------------------------------
 # world generation
 
 
+_FOREST_MAX_TRIES = 500         # placements tried per obstacle
+
+
 def generate_random_forest(seed: int, area, count: int, radius_range,
                            resolution: float = 0.1, keep_clear=(),
-                           clearance: float = 1.0,
-                           max_tries: int = 500) -> OccupancyGrid:
+                           clearance: float = 1.0) -> OccupancyGrid:
     """Cylindrical obstacles dropped uniformly over a planar map.
 
     Deterministic per seed. Every obstacle keeps `clearance` meters between
@@ -153,7 +156,7 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     xs = (np.arange(nx) + 0.5) * resolution
     ys = (np.arange(ny) + 0.5) * resolution
     for _ in range(count):
-        for attempt in range(max_tries):
+        for _ in range(_FOREST_MAX_TRIES):
             cx = rng.uniform(0.0, w)
             cy = rng.uniform(0.0, h)
             r = rng.uniform(*radius_range)
@@ -183,9 +186,10 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 
 @dataclass
 class Scenario:
-    """A loaded tracking scenario. `esdf` is the truncated ESDF of `grid`
-    at `d_trunc`, built once at load and used by the planner; it belongs to
-    that grid, so the grid must not change after loading."""
+    """A loaded tracking scenario, built by `scenario_from_dict`, which owns
+    every default. `esdf` is the truncated ESDF of `grid` at `d_trunc`,
+    built once at load and used by the planner; it belongs to that grid, so
+    the grid must not change after loading."""
 
     name: str
     grid: OccupancyGrid
@@ -194,34 +198,30 @@ class Scenario:
     target: WaypointScript
     fov_h_half: float
     fov_v_half: float
-    replan_period: float = 0.1
-    duration: float = 20.0
-    horizon: float = 3.0
-    search_horizon: float | None = None    # default: trajectory horizon
-    num_control_points: int = 33
-    pose_noise_sigma: float = 0.0
-    seed: int = 0
-    limits: DynamicLimits = field(default_factory=DynamicLimits)
-    params: VisibilityParams = field(default_factory=VisibilityParams)
-    weights: CostWeights = field(default_factory=CostWeights)
-    search_config: SearchConfig = field(default_factory=SearchConfig)
-    optimizer_config: OptimizerConfig = field(default_factory=lambda:
-        OptimizerConfig(max_iterations=30, wall_clock_budget=None))
-    predict_degree: int = 3
-    predict_ridge: float = 1e-4
-    predict_window: float = 2.0
-    predict_v_max: float = 2.5
-    mode: str = "visibility"
-    d_trunc: float = 5.0
+    replan_period: float
+    duration: float
+    horizon: float
+    search_horizon: float
+    num_control_points: int
+    pose_noise_sigma: float
+    seed: int
+    limits: DynamicLimits
+    params: VisibilityParams
+    weights: CostWeights
+    search_config: SearchConfig
+    optimizer_config: OptimizerConfig
+    predict_degree: int
+    predict_ridge: float
+    predict_window: float
+    predict_v_max: float
+    mode: str
+    d_trunc: float
 
     def __post_init__(self):
         if not 0 < self.fov_h_half < math.pi / 2:
             raise ScenarioError("horizontal FOV half-angle must be in (0, pi/2)")
         if not 0 < self.fov_v_half < math.pi / 2:
             raise ScenarioError("vertical FOV half-angle must be in (0, pi/2)")
-        if self.optimizer_config.wall_clock_budget is not None and \
-                self.replan_period < self.optimizer_config.wall_clock_budget:
-            raise ScenarioError("replan period shorter than optimizer budget")
 
     def effective_weights(self) -> CostWeights:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
@@ -256,21 +256,17 @@ _REQUIRED = object()
 
 def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
             above=None):
-    """d[key] (or `default` when absent) converted by `kind` (float or int);
-    a value that does not convert, is not finite, or is not greater than
+    """d[key] (or `default` when absent) as a `kind` (float or int); a value
+    that is not a finite number, not integral for int, or not greater than
     `above` when that is given, is a ScenarioError naming the field."""
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as e:
+    if not is_number(value, kind):
         raise ScenarioError(
             f"scenario field '{_field_name(ctx, key)}' must be "
-            f"{'an integer' if kind is int else 'a number'}, got {value!r}"
-        ) from e
-    if not math.isfinite(number):
-        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be a finite number, got {value!r}")
+            f"{'an integer' if kind is int else 'a finite number'}, "
+            f"got {value!r}")
+    number = kind(value)
     if above is not None and not number > above:
         bound = f"at least {above + 1}" if kind is int \
             else f"greater than {above}"
@@ -346,7 +342,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     weights = _config(CostWeights, raw, "weights")
     search_cfg = _config(SearchConfig, raw, "search")
     opt_cfg = _config(OptimizerConfig, raw, "optimizer",
-                      {"max_iterations": 30, "wall_clock_budget": None})
+                      {"max_iterations": 30})
 
     grid = _load_map(_require(raw, "map", "scenario"), base_dir, eff_seed, raw)
     d_trunc = _number(raw, "d_trunc", "scenario", 5.0)
@@ -365,13 +361,14 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
 
     tgt = _require(raw, "target", "scenario")
     duration = _number(raw, "duration", "scenario", above=0)
+    horizon = _number(raw, "horizon", "scenario", 3.0, above=0)
     pr = raw.get("predict", {})
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
         esdf=esdf,
         start=start,
-        target=_load_target(tgt, esdf, eff_seed, raw),
+        target=_load_target(tgt, esdf, eff_seed, duration),
         fov_h_half=math.radians(
             _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
         fov_v_half=math.radians(
@@ -379,9 +376,9 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         replan_period=_number(raw, "replan_period", "scenario", 0.1,
                               above=0),
         duration=duration,
-        horizon=_number(raw, "horizon", "scenario", 3.0, above=0),
-        search_horizon=(_number(raw, "search_horizon", "scenario", above=0)
-                        if "search_horizon" in raw else None),
+        horizon=horizon,
+        search_horizon=_number(raw, "search_horizon", "scenario", horizon,
+                               above=0),
         # a cubic B-spline needs one free control point past the three
         # pinned by the start state
         num_control_points=_number(raw, "num_control_points", "scenario",
@@ -460,7 +457,8 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
     raise ScenarioError("map must carry 'file', 'generator' or inline grid fields")
 
 
-def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScript:
+def _load_target(t: dict, esdf: ESDFField, seed: int,
+                 duration: float) -> WaypointScript:
     if "waypoints" in t:
         wps = _points(t, "waypoints", "target", 4)
         return WaypointScript(wps[:, 0], wps[:, 1:])
@@ -477,8 +475,7 @@ def _load_target(t: dict, esdf: ESDFField, seed: int, raw: dict) -> WaypointScri
             rng, esdf,
             start=_vector(r, "start", "target.random"),
             speed=_number(r, "speed", "target.random", above=0),
-            duration=_number(r, "duration", "target.random",
-                             raw.get("duration", 20.0)),
+            duration=_number(r, "duration", "target.random", duration),
             bounds=_vector(r, "bounds", "target.random", shape=(3, 2),
                            what="3 [low, high] pairs"),
             clearance=_number(r, "clearance", "target.random", 0.6))
@@ -624,15 +621,11 @@ class Planner:
         sc = self.scenario = scenario
         self.dt_knot = sc.horizon / (sc.num_control_points - 3)
         self.wp_offsets = np.arange(sc.num_control_points - 2) * self.dt_knot
-        self.search_horizon = sc.search_horizon \
-            if sc.search_horizon is not None else sc.horizon
         self.track_offsets = np.arange(
             0, sc.search_config.horizon_slack
-            * max(self.search_horizon, sc.horizon) + self.dt_knot,
+            * max(sc.search_horizon, sc.horizon) + self.dt_knot,
             self.dt_knot / 2.0)
-        self.standoff = sc.search_config.standoff
-        if self.standoff is None:
-            self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
+        self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
         self.weights = sc.effective_weights()
         # visibility-blind: the front end stops rejecting sight-losing nodes
         self.search_config = sc.search_config if sc.mode != "baseline" \
@@ -658,7 +651,7 @@ class Planner:
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _revalidate_path(self.held_path, t, state, target_at,
                                   sc.grid, sc.esdf, sc.limits,
-                                  self.search_config, self.search_horizon,
+                                  self.search_config, sc.search_horizon,
                                   self.standoff)
         if reused is not None:
             pts, times = reused
@@ -666,7 +659,7 @@ class Planner:
             try:
                 pts, times = search(state, target_at, sc.grid, sc.esdf,
                                     sc.limits, self.search_config,
-                                    horizon=self.search_horizon,
+                                    horizon=sc.search_horizon,
                                     standoff=self.standoff,
                                     trace=self.search_trace
                                     if self.collect_traces else None)
@@ -803,7 +796,7 @@ def _revalidate_path(held, t, state, target_at, grid, esdf, limits, cfg,
     pts = np.vstack([state.p, pts])
     times = np.concatenate([[0.0], times])
     goal = np.asarray(target_at(times[-1]), float)
-    if abs(np.linalg.norm(pts[-1] - goal) - standoff) > cfg.goal_tolerance + 0.3:
+    if abs(np.linalg.norm(pts[-1] - goal) - standoff) > GOAL_TOLERANCE + 0.3:
         return None
     if np.min(esdf.distance_at(pts)) <= limits.d_thr / 2.0:
         return None

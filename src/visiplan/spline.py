@@ -20,6 +20,8 @@ _BASIS = np.array([[-1.0, 3.0, -3.0, 1.0],
                    [3.0, -6.0, 3.0, 0.0],
                    [-3.0, 0.0, 3.0, 0.0],
                    [1.0, 4.0, 1.0, 0.0]]) / 6.0
+# ridge of the seed fit in `initialize_from_path`
+_SEED_RIDGE = 1e-6
 
 
 def wrap_angle(a):
@@ -159,18 +161,6 @@ class TrajectoryBSpline:
         a, _ = self.evaluate_derivative(t, 2)
         return RobotState(p, v, a, psi, dpsi)
 
-    def sample_csv(self, rate: float) -> str:
-        """CSV dump `t, x, y, z, psi, vx, vy, vz, yaw_rate` at a fixed rate."""
-        rows = ["t,x,y,z,psi,vx,vy,vz,yaw_rate"]
-        n = max(int(round(self.duration() * rate)), 1)
-        for i in range(n + 1):
-            t = min(i / rate, self.duration())
-            p, psi = self.evaluate(t)
-            v, dpsi = self.evaluate_derivative(t, 1)
-            vals = [t, p[0], p[1], p[2], wrap_angle(psi), v[0], v[1], v[2], dpsi]
-            rows.append(",".join(f"{x:.17g}" for x in vals))
-        return "\n".join(rows) + "\n"
-
 
 def _difference_stencil(ctrl: np.ndarray, dt: float, order: int) -> np.ndarray:
     if not 1 <= order <= 3:
@@ -208,15 +198,14 @@ def _basis_row(t: float, dt: float, n: int) -> np.ndarray:
 
 def initialize_from_path(path_points, path_times, state: RobotState, dt: float,
                          num_control_points: int,
-                         yaw_targets=None,
-                         ridge: float = 1e-6) -> TrajectoryBSpline:
+                         yaw_targets=None) -> TrajectoryBSpline:
     """Seed a trajectory from a timestamped front-end path.
 
     The first three control points are solved from `state` (exact boundary
-    conditions); the rest are fitted to the path by ridge-regularized least
-    squares. The ridge pulls toward a nominal guess (each free control point
-    at the path position nearest its knot time) rather than zero, so
-    unconstrained directions fall back to something sensible.
+    conditions); the rest are fitted to the path by least squares with
+    ridge `_SEED_RIDGE`. The ridge pulls toward a nominal guess (each free
+    control point at the path position nearest its knot time) rather than
+    zero, so unconstrained directions fall back to something sensible.
 
     yaw_targets optionally overrides the per-path-point heading used to fit
     yaw control points (default: direction of motion along the path).
@@ -253,8 +242,8 @@ def initialize_from_path(path_points, path_times, state: RobotState, dt: float,
     B = np.stack([_basis_row(t, dt, n) for t in times])
     B_fix, B_free = B[:, :3], B[:, 3:]
     resid = pts - B_fix @ q_fix
-    lhs = B_free.T @ B_free + ridge * np.eye(n - 3)
-    q_free = np.linalg.solve(lhs, B_free.T @ resid + ridge * guess)
+    lhs = B_free.T @ B_free + _SEED_RIDGE * np.eye(n - 3)
+    q_free = np.linalg.solve(lhs, B_free.T @ resid + _SEED_RIDGE * guess)
     q = np.vstack([q_fix, q_free])
 
     if yaw_targets is None:
@@ -280,10 +269,11 @@ def initialize_from_path(path_points, path_times, state: RobotState, dt: float,
         for r in range(n - 2):
             S[r, r:r + 3] = [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0]
         S_fix, S_free = S[:, :3], S[:, 3:]
-        lhs_phi = S_free.T @ S_free + ridge * np.eye(n - 3)
+        lhs_phi = S_free.T @ S_free + _SEED_RIDGE * np.eye(n - 3)
         resid_phi = yaw_fit - S_fix @ phi_fix
         phi_free = np.linalg.solve(lhs_phi,
-                                   S_free.T @ resid_phi + ridge * yaw_guess)
+                                   S_free.T @ resid_phi
+                                   + _SEED_RIDGE * yaw_guess)
     else:
         yaw_targets = np.asarray(yaw_targets, dtype=np.float64)
         # keep the fit continuous with the current yaw
@@ -291,6 +281,7 @@ def initialize_from_path(path_points, path_times, state: RobotState, dt: float,
         yaw_guess = np.interp(knot_t, times, yaw_fit)
         resid_phi = yaw_fit - B_fix @ phi_fix
         phi_free = np.linalg.solve(lhs,
-                                   B_free.T @ resid_phi + ridge * yaw_guess)
+                                   B_free.T @ resid_phi
+                                   + _SEED_RIDGE * yaw_guess)
     phi = np.concatenate([phi_fix, phi_free])
     return TrajectoryBSpline(dt, q, phi)

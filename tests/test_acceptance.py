@@ -306,8 +306,7 @@ def test_criterion_4_open_space_joint_optimum(acceptance_log):
     limits = DynamicLimits(v_m=5.0, a_m=6.0, v_phi_m=3.0, a_phi_m=6.0,
                            d_thr=0.4, psi_thr=0.6)
     cfg = OptimizerConfig(max_iterations=200, gradient_tolerance=1e-9,
-                          relative_cost_tolerance=1e-15,
-                          wall_clock_budget=None)
+                          relative_cost_tolerance=1e-15)
     res = optimize(traj, track, field, PARAMS, CostWeights(), limits, cfg)
     p, psi = res.trajectory.waypoints()
     d = np.linalg.norm(p - target, axis=1)

@@ -73,6 +73,18 @@ class TestRunCommand:
         (None, "pose_noise_sigma", math.nan, "pose_noise_sigma"),
         (None, "num_control_points", math.inf, "num_control_points"),
         ("predict", "ridge", -math.inf, "predict.ridge"),
+        # integer fields hold integral numbers, boolean fields true or false
+        (None, "num_control_points", 33.9, "num_control_points"),
+        ("optimizer", "max_iterations", 2.5, "max_iterations"),
+        ("search", "max_expansions", 10.5, "max_expansions"),
+        ("search", "max_expansions", True, "max_expansions"),
+        ("params", "m_balls", 2.5, "m_balls"),
+        ("search", "guided", "no", "guided"),
+        # deleted settings are unknown fields
+        ("optimizer", "wall_clock_budget", None,
+         "optimizer.wall_clock_budget"),
+        ("search", "standoff", 3.0, "search.standoff"),
+        ("search", "goal_tolerance", 0.5, "search.goal_tolerance"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
                                              capsys, section, key, value,

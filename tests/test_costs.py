@@ -464,8 +464,7 @@ class TestTotalCost:
         track = make_track(rng, traj)
         field = make_field(rng)
         rep = total_cost(traj, track, field, PARAMS, CostWeights(), LIMITS)
-        import json
-        parsed = json.loads(rep.to_json())
+        parsed = rep.term_values()
         assert set(parsed) == {"J_do", "J_ao", "J_oe", "J_f", "J_f_phi",
                                "J_s", "J_s_phi", "J_c", "J_v", "total"}
 

@@ -117,7 +117,9 @@ class TestOccupancyGrid:
         text = "..#..\n.###.\n..#..\n.....\n"
         grid = OccupancyGrid.from_ascii(text, resolution=0.5)
         assert grid.dims == (5, 4, 1)
-        assert grid.to_ascii() == text
+        # the first text row is the largest y index: +y reads upward
+        occupied = {tuple(c) for c in np.argwhere(grid.occupancy[:, :, 0])}
+        assert occupied == {(2, 3), (1, 2), (2, 2), (3, 2), (2, 1)}
         path = tmp_path / "map.txt"
         path.write_text(text)
         loaded = load_grid(path, resolution=0.5)

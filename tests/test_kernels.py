@@ -500,7 +500,7 @@ def forest_or_error(make, *args):
          resolution=0.25, keep_clear=[(1.5, 1.5, 0.0)], clearance=0.3)
 def test_forest_matches_reference(seed, area, count, radii, resolution,
                                   keep_clear, clearance):
-    args = (seed, area, count, radii, resolution, keep_clear, clearance, 30)
+    args = (seed, area, count, radii, resolution, keep_clear, clearance)
     got = forest_or_error(generate_random_forest, *args)
     want = forest_or_error(reference_forest, *args)
     if isinstance(want, str):

@@ -20,7 +20,8 @@ from visiplan import optimizer
 from visiplan.env import OccupancyGrid
 from visiplan.optimizer import optimize
 from visiplan.predict import HistoryBuffer, fit, predict_track
-from visiplan.search import SearchError, raycast_occluded, search
+from visiplan.search import (GOAL_TOLERANCE, SearchError, raycast_occluded,
+                             search)
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, RunReport, Scenario,
                           StepRecord, _cone_contains, bundled_scenario,
                           dumps_canonical, load_scenario, run)
@@ -58,9 +59,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport
 
     dt_knot = sc.horizon / (sc.num_control_points - 3)
     wp_offsets = np.arange(sc.num_control_points - 2) * dt_knot
-    standoff = sc.search_config.standoff
-    if standoff is None:
-        standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
+    standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
     weights = sc.effective_weights()
     search_cfg = sc.search_config
     if sc.mode == "baseline":
@@ -212,7 +211,7 @@ def _reference_revalidate_path(held, t, state, target_at, grid, esdf,
     pts = np.vstack([state.p, pts])
     times = np.concatenate([[0.0], times])
     goal = np.asarray(target_at(times[-1]), float)
-    if abs(np.linalg.norm(pts[-1] - goal) - standoff) > cfg.goal_tolerance + 0.3:
+    if abs(np.linalg.norm(pts[-1] - goal) - standoff) > GOAL_TOLERANCE + 0.3:
         return None
     if np.min(esdf.distance_at(pts)) <= limits.d_thr / 2.0:
         return None

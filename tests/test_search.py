@@ -5,8 +5,9 @@ import pytest
 
 from visiplan.costs import DynamicLimits
 from visiplan.env import OccupancyGrid, build_esdf
-from visiplan.search import (InvalidStart, SearchConfig, SearchExhausted,
-                             raycast_occluded, search)
+from visiplan.search import (ACCEL_FRACTIONS, GOAL_TOLERANCE,
+                             TRACKING_WEIGHT, InvalidStart, SearchConfig,
+                             SearchExhausted, raycast_occluded, search)
 from visiplan.spline import RobotState
 
 LIMITS = DynamicLimits(v_m=2.0, a_m=3.0, v_phi_m=2.0, a_phi_m=4.0,
@@ -89,7 +90,7 @@ def exhaustive_lattice_search(start_state, target_at, grid, esdf, limits,
     annulus at or after the horizon, or None."""
     tau = cfg.tau
     accels = [np.array([ax, ay, 0.0]) * limits.a_m
-              for ax in cfg.accel_fractions for ay in cfg.accel_fractions]
+              for ax in ACCEL_FRACTIONS for ay in ACCEL_FRACTIONS]
     clearance = limits.d_thr / 2.0
     goal_center = np.asarray(target_at(horizon), float)
     p_start = np.asarray(start_state.p, float)
@@ -114,7 +115,7 @@ def exhaustive_lattice_search(start_state, target_at, grid, esdf, limits,
         p, v = np.array(p_list), np.array(v_list)
         if t >= horizon - 1e-9 and \
                 abs(np.linalg.norm(p - goal_center) - standoff) \
-                <= cfg.goal_tolerance:
+                <= GOAL_TOLERANCE:
             return g
         if t + tau > cfg.horizon_slack * horizon:
             continue
@@ -127,7 +128,7 @@ def exhaustive_lattice_search(start_state, target_at, grid, esdf, limits,
             ref = np.asarray(target_at(t + tau), float) + standoff * u0
             g_new = g + tau * (1.0 + cfg.effort_weight
                                * float(acc @ acc) / limits.a_m ** 2) \
-                + cfg.tracking_weight * tau * float(np.linalg.norm(p_new - ref))
+                + TRACKING_WEIGHT * tau * float(np.linalg.norm(p_new - ref))
             seg = p[None, :] + np.outer(np.linspace(0, 1, 5) * tau, v) \
                 + np.outer(0.5 * (np.linspace(0, 1, 5) * tau) ** 2, acc)
             if np.min(esdf.distance_at(seg)) <= clearance:
@@ -216,7 +217,7 @@ class TestSearch:
             ref = target + 2.0 * u0
             g += dt * (1.0 + cfg.effort_weight * float(a @ a)
                        / LIMITS.a_m ** 2) \
-                + cfg.tracking_weight * dt * float(
+                + TRACKING_WEIGHT * dt * float(
                     np.linalg.norm(pts[i + 1] - ref))
         assert g <= optimal + 1e-6
 

@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 
 from visiplan.costs import DynamicLimits
 from visiplan.env import ESDFField, OccupancyGrid, build_esdf
-from visiplan.search import (InvalidStart, SearchConfig, SearchError,
-                             SearchExhausted, _bang_bang_time,
-                             raycast_occluded, search)
+from visiplan.search import (ACCEL_FRACTIONS, COLLISION_SAMPLES,
+                             GOAL_TOLERANCE, TRACKING_WEIGHT, InvalidStart,
+                             SearchConfig, SearchError, SearchExhausted,
+                             _bang_bang_time, raycast_occluded, search)
 from visiplan.spline import RobotState
 
 
@@ -51,7 +52,7 @@ class _Node:
 def reference_search(start_state, target_at, grid: OccupancyGrid,
                      esdf: ESDFField, limits: DynamicLimits,
                      config: SearchConfig | None = None,
-                     horizon: float = 3.0, standoff: float | None = None,
+                     horizon: float = 3.0, *, standoff: float,
                      trace: list | None = None):
     """The front end as it was before its certificates: numpy successor
     batches, every clearance query and every raycast."""
@@ -67,24 +68,21 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
         raise InvalidStart(f"start position {p0.tolist()} is in collision")
 
     goal_center = np.asarray(target_at(horizon), dtype=np.float64)
-    standoff = standoff if standoff is not None else cfg.standoff
-    if standoff is None:
-        raise ValueError("standoff distance required")
 
     if planar:
-        accels = np.array([[ax, ay, 0.0] for ax in cfg.accel_fractions
-                           for ay in cfg.accel_fractions])
+        accels = np.array([[ax, ay, 0.0] for ax in ACCEL_FRACTIONS
+                           for ay in ACCEL_FRACTIONS])
     else:
-        accels = np.array([[ax, ay, az] for ax in cfg.accel_fractions
-                           for ay in cfg.accel_fractions
-                           for az in cfg.accel_fractions])
+        accels = np.array([[ax, ay, az] for ax in ACCEL_FRACTIONS
+                           for ay in ACCEL_FRACTIONS
+                           for az in ACCEL_FRACTIONS])
     accels = accels * limits.a_m
     # per-axis primitives reach sqrt(axes) * a_m along a diagonal; the
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
     tau = cfg.tau
-    samp_t = np.linspace(0.0, tau, max(cfg.collision_samples, 2))
+    samp_t = np.linspace(0.0, tau, max(COLLISION_SAMPLES, 2))
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
     acc_tau = accels * tau
@@ -109,7 +107,7 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
         if t < horizon - 1e-9:
             return False
         gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
-        return abs(gap - standoff) <= cfg.goal_tolerance
+        return abs(gap - standoff) <= GOAL_TOLERANCE
 
     if cfg.guided:
         away = p0 - goal_center
@@ -119,18 +117,18 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
 
         def heuristic(p, v, t) -> float:
             rx, ry, rz = px - p[0], py - p[1], pz - p[2]
-            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - cfg.goal_tolerance
+            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
             if dist <= 0.0:
                 return max(horizon - t, 0.0)
             toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / (dist + cfg.goal_tolerance), 0.0)
+                         / (dist + GOAL_TOLERANCE), 0.0)
             return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
                        horizon - t)
     else:
         def heuristic(p, v, t) -> float:
             rx, ry, rz = gx - p[0], gy - p[1], gz - p[2]
             gap = math.sqrt(rx * rx + ry * ry + rz * rz)
-            dist = abs(gap - standoff) - cfg.goal_tolerance
+            dist = abs(gap - standoff) - GOAL_TOLERANCE
             if dist <= 0.0:
                 return max(horizon - t, 0.0)
             toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
@@ -188,7 +186,7 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
             + acc_arc                                               # (A, 3)
         deviation = tau * np.sqrt(((p_batch - ref_next) ** 2).sum(axis=1))
         g_batch = (node.cost + step_cost
-                   + cfg.tracking_weight * deviation).tolist()
+                   + TRACKING_WEIGHT * deviation).tolist()
         key_rows = np.rint(np.concatenate(
             [p_batch * inv_prune, v_batch * inv_vq], axis=1)
             ).astype(np.int64).tolist()
@@ -328,7 +326,7 @@ def scenes(draw, planar: bool, sight: str):
     cfg = SearchConfig(
         tau=draw(st.sampled_from([0.2, 0.25])), prune_resolution=0.3,
         max_expansions=draw(st.sampled_from([15, 80, 400])),
-        goal_tolerance=0.5, horizon_slack=1.5,
+        horizon_slack=1.5,
         heuristic_weight=draw(st.sampled_from([1.0, 2.5])),
         effort_weight=0.25, guided=draw(st.booleans()))
     return (grid, build_esdf(grid, draw(st.sampled_from([1.0, 5.0]))),

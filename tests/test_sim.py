@@ -40,7 +40,7 @@ class TestWaypointScript:
     def test_from_path_constant_speed(self):
         s = WaypointScript.from_path([[0, 0, 0], [3, 0, 0], [3, 4, 0]],
                                      speed=2.0, start_hold=1.0)
-        assert s.end_time() == pytest.approx(1.0 + 1.5 + 2.0)
+        assert s.times[-1] == pytest.approx(1.0 + 1.5 + 2.0)
         assert np.allclose(s.at(0.5), [0, 0, 0])        # holding
         assert np.allclose(s.at(1.75), [1.5, 0, 0])
 
@@ -61,7 +61,7 @@ class TestRandomTarget:
         s2 = random_target_script(rng2, esdf, [2, 7.5, 0], 1.5, 20.0,
                                   [[1, 14], [1, 14], [0, 0]])
         assert np.array_equal(s1.points, s2.points)
-        for t in np.linspace(0, s1.end_time(), 120):
+        for t in np.linspace(0, s1.times[-1], 120):
             assert esdf.distance_at(s1.at(t)) > 0.6
 
 

@@ -244,14 +244,3 @@ class TestInitializeFromPath:
         with pytest.raises(ValueError):
             initialize_from_path([[0, 0, 0], [1, 0, 0]], [0.5, 0.5], state,
                                  0.1, 8)
-
-    def test_csv_dump(self):
-        traj = random_traj(np.random.default_rng(14))
-        csv = traj.sample_csv(rate=10.0)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "t,x,y,z,psi,vx,vy,vz,yaw_rate"
-        assert len(lines) > 2
-        first = [float(v) for v in lines[1].split(",")]
-        p, psi = traj.evaluate(0.0)
-        assert first[1:4] == pytest.approx(list(p))
-        assert wrap_angle(psi) == pytest.approx(first[4])
