@@ -2,7 +2,9 @@
 
 The grid stores boolean occupancy per cell. The distance field stores, per
 cell, the Euclidean distance to the nearest occupied cell center, clamped to
-a truncation radius. Continuous queries interpolate cell-center values
+a truncation radius. It is built by an exact separable squared distance
+transform in integer numpy, which only needs to look as far as the
+truncation radius. Continuous queries interpolate cell-center values
 trilinearly; gradients differentiate the interpolant analytically so they are
 consistent with the interpolated values.
 """
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 
 class GridError(ValueError):
@@ -236,6 +237,9 @@ def load_grid(path, resolution: float | None = None,
 class ESDFField:
     """Truncated distance-to-nearest-obstacle samples over a grid.
 
+    `distance[i, j, k]` is the distance from that cell's center to the
+    nearest occupied cell center, min(res * sqrt(integer squared cell
+    offset), d_trunc), as `build_esdf` makes it; 0 on occupied cells.
     Immutable after build (`distance` is read-only); safe to share across
     planner instances.
     """
@@ -346,23 +350,64 @@ def build_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:
     Distances are measured between cell centers. Occupied cells store 0;
     a grid with no obstacles stores d_trunc everywhere.
     """
-    if d_trunc <= 0:
+    if not d_trunc > 0:
         raise GridError("d_trunc must be positive")
     occ = grid.occupancy
     if not occ.any():
         dist = np.full(occ.shape, float(d_trunc))
         return ESDFField(grid, dist, float(d_trunc))
-    # Feature transform gives the nearest occupied cell exactly; the distance
-    # is then sqrt of an integer squared cell offset (exact in float64),
-    # matching a brute-force scan bit-for-bit. It runs over the axes with
-    # more than one cell only: a single-cell axis adds no offset.
-    free = ~occ.reshape([n for n in occ.shape if n > 1] or [1])
-    nearest = ndimage.distance_transform_edt(
-        free, return_distances=False, return_indices=True)
-    sq = np.zeros(free.shape, dtype=np.int64)
-    for axis, idx in enumerate(nearest):
-        offset = idx - np.arange(free.shape[axis]).reshape(
-            [-1] + [1] * (free.ndim - 1 - axis))
-        sq += offset * offset
-    dist = np.minimum(np.sqrt(sq) * grid.resolution, d_trunc)
-    return ESDFField(grid, dist.reshape(occ.shape), float(d_trunc))
+    # A separable squared transform (Saito & Toriwaki 1994) in integer
+    # cell units over the axes with more than one cell (a single-cell axis
+    # adds no offset). A cell nearer than d_trunc has its nearest occupied
+    # cell fewer than `reach` cells away along every axis, so its squared
+    # offset comes out exact; every other cell gets at least reach**2, which
+    # clamps to d_trunc as its exact distance does. No squared offset in
+    # the grid reaches sum(dims)**2, so `reach` need not exceed that sum.
+    occ = occ.reshape([n for n in occ.shape if n > 1] or [1])
+    reach = math.ceil(min(d_trunc / grid.resolution, sum(occ.shape))) + 1
+    # holds the indices from -reach to n - 1 + reach of the first pass, the
+    # entries (below reach**2) and the sums formed (below 2 * reach**2)
+    need = max(2 * reach * reach, occ.shape[-1] + reach)
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if need <= np.iinfo(t).max)
+    # the first pass runs along the contiguous last axis and the others
+    # toward axis 0, so that every slice the others take is contiguous
+    sq = _squared_along_last(occ, reach, dtype)
+    for axis in range(occ.ndim - 2, -1, -1):
+        _min_plus_squares(sq, axis, reach)
+    # the distance of each squared offset, computed once: sqrt of an integer
+    # (exact in float64) matches a brute-force scan bit-for-bit
+    table = np.minimum(np.sqrt(np.arange(int(sq.max()) + 1, dtype=np.float64))
+                       * grid.resolution, d_trunc)
+    return ESDFField(grid, np.take(table, sq).reshape(grid.dims),
+                     float(d_trunc))
+
+
+def _squared_along_last(occ: np.ndarray, reach: int, dtype) -> np.ndarray:
+    """Squared cell offset to the nearest occupied cell along the last axis,
+    clamped at reach**2 (also where the row holds none)."""
+    n = occ.shape[-1]
+    idx = np.arange(n, dtype=dtype)
+    below = np.where(occ, idx, -reach)
+    np.maximum.accumulate(below, axis=-1, out=below)
+    above = np.where(occ, idx, n - 1 + reach)[..., ::-1]
+    np.minimum.accumulate(above, axis=-1, out=above)
+    d = np.minimum(idx - below, above[..., ::-1] - idx)
+    np.minimum(d, reach, out=d)
+    d *= d
+    return d
+
+
+def _min_plus_squares(f: np.ndarray, axis: int, reach: int) -> None:
+    """f[i] = min over |k| < min(n, reach) of f[i + k] + k**2 along `axis`,
+    in place; stops once k**2 alone reaches max(f)."""
+    src = np.moveaxis(f.copy(), axis, 0)
+    out, tmp = np.moveaxis(f, axis, 0), np.empty_like(src)
+    top = int(src.max())
+    for k in range(1, min(src.shape[0], reach)):
+        kk = k * k
+        if kk >= top:
+            break
+        np.add(src, kk, out=tmp)
+        np.minimum(out[k:], tmp[:-k], out=out[k:])
+        np.minimum(out[:-k], tmp[k:], out=out[:-k])

@@ -14,8 +14,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
 
 from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
                     VisibilityParams, total_cost, weighted_terms)
@@ -84,21 +82,23 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     traj = initial.copy()
     n = traj.num_control_points
     nf = n - 3                       # free control points per block
-    r_q, r_phi = whitening_factors(n, traj.dt, weights, params.od_max)
+    w_q, w_phi = whitening_factors(n, traj.dt, weights, params.od_max)
 
     def pack(t: TrajectoryBSpline) -> np.ndarray:
-        return np.concatenate([(r_q @ t.q[3:]).ravel(), r_phi @ t.phi[3:]])
+        return np.concatenate([solve_triangular(w_q, t.q[3:]).ravel(),
+                               solve_triangular(w_phi, t.phi[3:])])
 
     def unpack_into(x: np.ndarray, t: TrajectoryBSpline):
-        t.q[3:] = solve_triangular(r_q, x[:3 * nf].reshape(nf, 3))
-        t.phi[3:] = solve_triangular(r_phi, x[3 * nf:])
+        t.q[3:] = w_q @ x[:3 * nf].reshape(nf, 3)
+        t.phi[3:] = w_phi @ x[3 * nf:]
 
     def eval_at(x: np.ndarray):
+        # the gradient is pulled back through the exact transpose of the
+        # map unpack_into applied
         unpack_into(x, traj)
         rep = total_cost(traj, target, esdf, params, weights, limits)
-        g = np.concatenate([
-            solve_triangular(r_q.T, rep.grad_q[3:], lower=True).ravel(),
-            solve_triangular(r_phi.T, rep.grad_phi[3:], lower=True)])
+        g = np.concatenate([(w_q.T @ rep.grad_q[3:]).ravel(),
+                            w_phi.T @ rep.grad_phi[3:]])
         return rep, g
 
     x = pack(traj)
@@ -179,8 +179,10 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
 @lru_cache(maxsize=16)
 def whitening_factors(n: int, dt: float, weights: CostWeights,
                       od_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper Cholesky factors (r_q, r_phi), r.T @ r = h, that whiten the
-    free position and yaw control points of an n-point spline.
+    """Upper-triangular inverse whitening factors (w_q, w_phi), w = r^-1
+    for the upper Cholesky factor r of h (r.T @ r = h), so w.T @ h @ w = I:
+    the free position and yaw control points of an n-point spline are
+    w @ x for whitened variables x.
 
     Jerk smoothness carries curvature ~w/dt^6 and the derivative bounds
     ~w/dt^2, dwarfing the O(1) visibility terms and stalling the
@@ -200,30 +202,17 @@ def whitening_factors(n: int, dt: float, weights: CostWeights,
     h_q = np.eye(nf) + 2.0 * weights.w_s * smooth_h + 4.0 * weights.w_f * feas_h
     h_phi = od_max ** 2 * np.eye(nf) \
         + 2.0 * weights.w_s_phi * smooth_h + 4.0 * weights.w_f_phi * feas_h
-    r_q, r_phi = np.linalg.cholesky(h_q).T, np.linalg.cholesky(h_phi).T
-    r_q.flags.writeable = r_phi.flags.writeable = False
-    return r_q, r_phi
+    w_q, w_phi = (np.triu(np.linalg.inv(np.linalg.cholesky(h).T))
+                  for h in (h_q, h_phi))
+    w_q.flags.writeable = w_phi.flags.writeable = False
+    return w_q, w_phi
 
 
-def solve_triangular(a: np.ndarray, b: np.ndarray,
-                     lower: bool = False) -> np.ndarray:
-    """`scipy.linalg.solve_triangular(a, b, lower=lower)` for float64 `a`
-    and `b`, calling LAPACK with the same arguments but without the
-    wrapper's input validation, which costs several times the solve at the
-    optimizer's sizes. Non-finite input propagates instead of raising."""
-    if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, lower=lower, trans=0, unitdiag=False,
-                         overwrite_b=False)
-    else:
-        # trtrs expects Fortran order; solve the transposed system instead
-        x, info = dtrtrs(a.T, b, lower=not lower, trans=1, unitdiag=False,
-                         overwrite_b=False)
-    if info > 0:
-        raise LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of trtrs")
-    return x
+def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for a square, nonsingular `a`; a singular one raises
+    np.linalg.LinAlgError. The optimizer maps control points to whitened
+    variables with it, twice per call."""
+    return np.linalg.solve(a, b)
 
 
 def _lbfgs_direction(grad: np.ndarray, s_hist, y_hist) -> np.ndarray:

@@ -301,17 +301,32 @@ def _field_name(ctx: str, key: str) -> str:
     return key if ctx == "scenario" else f"{ctx}.{key}"
 
 
+def _known(d, ctx: str, keys) -> dict:
+    """`d` when it is an object holding no key outside `keys`; anything
+    else is a ScenarioError naming the section `ctx` or the unknown
+    field."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"scenario field '{ctx}' must be an object")
+    for key in d:
+        if key not in keys:
+            raise ScenarioError(
+                f"unknown scenario field '{_field_name(ctx, key)}'")
+    return d
+
+
+_SCENARIO_KEYS = {
+    "name", "seed", "map", "d_trunc", "robot_start", "target", "duration",
+    "horizon", "search_horizon", "fov_h_deg", "fov_v_deg", "replan_period",
+    "num_control_points", "pose_noise_sigma", "predict",
+    "limits", "params", "weights", "search", "optimizer"}
+
+
 def _config(cls, raw: dict, section: str, defaults: dict | None = None):
     """The config dataclass `cls` built from scenario section `section`
     over `defaults`; unknown or invalid fields are a ScenarioError naming
     the section and the field."""
-    given = raw.get(section, {})
-    if not isinstance(given, dict):
-        raise ScenarioError(f"scenario field '{section}' must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in given:
-        if key not in known:
-            raise ScenarioError(f"unknown scenario field '{section}.{key}'")
+    given = _known(raw.get(section, {}), section,
+                   {f.name for f in dataclasses.fields(cls)})
     try:
         return cls(**{**(defaults or {}), **given})
     except (TypeError, ValueError) as e:
@@ -334,6 +349,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     if mode not in ("visibility", "baseline"):
         raise ScenarioError(f"unknown mode '{mode}'")
+    _known(raw, "scenario", _SCENARIO_KEYS)
     eff_seed = int(seed) if seed is not None \
         else _number(raw, "seed", "scenario", 0, int)
 
@@ -351,7 +367,8 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     except GridError as e:
         raise ScenarioError(f"scenario field 'd_trunc': {e}") from e
 
-    rs = _require(raw, "robot_start", "scenario")
+    rs = _known(_require(raw, "robot_start", "scenario"), "robot_start",
+                {"p", "v", "a", "yaw", "yaw_rate"})
     start = RobotState(
         _vector(rs, "p", "robot_start"),
         _vector(rs, "v", "robot_start", [0.0, 0.0, 0.0]),
@@ -362,7 +379,8 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     tgt = _require(raw, "target", "scenario")
     duration = _number(raw, "duration", "scenario", above=0)
     horizon = _number(raw, "horizon", "scenario", 3.0, above=0)
-    pr = raw.get("predict", {})
+    pr = _known(raw.get("predict", {}), "predict",
+                {"degree", "ridge", "window", "v_max"})
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
@@ -399,6 +417,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
 
 def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
     if "file" in m:
+        _known(m, "map", {"file", "resolution", "origin"})
         p = base_dir / m["file"]
         resolution = _number(m, "resolution", "map", above=0) \
             if "resolution" in m else None
@@ -408,7 +427,10 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
     if "generator" in m:
-        g = m["generator"]
+        _known(m, "map", {"generator"})
+        g = _known(m["generator"], "map.generator",
+                   {"kind", "seed", "area", "count", "radius_range",
+                    "resolution", "clearance", "keep_clear"})
         if g.get("kind", "forest") != "forest":
             raise ScenarioError(f"unknown map generator '{g.get('kind')}'")
         keep_clear = list(_points(g, "keep_clear", "map.generator")) \
@@ -449,6 +471,7 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
             keep_clear=keep_clear,
             clearance=_number(g, "clearance", "map.generator", 1.0))
     if "dims" in m:
+        _known(m, "map", {"resolution", "origin", "dims", "occupied"})
         try:
             return OccupancyGrid.from_json_dict(m)
         except GridError as e:
@@ -460,15 +483,20 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
 def _load_target(t: dict, esdf: ESDFField, seed: int,
                  duration: float) -> WaypointScript:
     if "waypoints" in t:
+        _known(t, "target", {"waypoints"})
         wps = _points(t, "waypoints", "target", 4)
         return WaypointScript(wps[:, 0], wps[:, 1:])
     if "path" in t:
+        _known(t, "target", {"path", "speed", "start_hold"})
         return WaypointScript.from_path(
             _points(t, "path", "target"),
             _number(t, "speed", "target", 1.0, above=0),
             _number(t, "start_hold", "target", 0.0))
     if "random" in t:
-        r = t["random"]
+        _known(t, "target", {"random"})
+        r = _known(t["random"], "target.random",
+                   {"seed", "start", "speed", "duration", "bounds",
+                    "clearance"})
         rng = np.random.default_rng(
             _number(r, "seed", "target.random", seed, int) + 1)
         return random_target_script(

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import visiplan
 from visiplan.cli import main
 from visiplan.sim import bundled_scenario
 
@@ -85,6 +90,12 @@ class TestRunCommand:
          "optimizer.wall_clock_budget"),
         ("search", "standoff", 3.0, "search.standoff"),
         ("search", "goal_tolerance", 0.5, "search.goal_tolerance"),
+        # unknown keys in the sections outside the config dataclasses
+        (None, "horizn", 5.0, "horizn"),
+        ("map", "bogus", 1.0, "map.bogus"),
+        ("target", "bogus", 1.0, "target.bogus"),
+        ("robot_start", "bogus", 1.0, "robot_start.bogus"),
+        ("predict", "bogus", 1.0, "predict.bogus"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
                                              capsys, section, key, value,
@@ -125,6 +136,11 @@ class TestRunCommand:
         ("case1", "map.origin", [0, 0], "map.origin"),
         ("mini", "map.origin", [0, float("nan"), 0], "map.origin"),
         ("case1", "map.origin", [0, float("nan"), 0], "map.origin"),
+        # unknown keys in the sections only a forest scenario has
+        ("forest", "map.generator.bogus", 1.0, "map.generator.bogus"),
+        ("forest", "target.random.start_hold", 1.0,
+         "target.random.start_hold"),
+        ("case1", "map.dims", [10, 10, 1], "map.dims"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -203,3 +219,28 @@ class TestBenchCommand:
         code = main(["bench", "--scenario", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "b"), "--seeds", "1,2"])
         assert code == 2
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The planner and the CLI run on numpy alone: a fresh interpreter that
+    flies a short mission has loaded no scipy module."""
+    raw = json.loads(bundled_scenario("mini").read_text())
+    raw["duration"] = 0.5
+    scenario = tmp_path / "short.json"
+    scenario.write_text(json.dumps(raw))
+    script = (
+        "import sys\n"
+        "import visiplan, visiplan.cli\n"
+        f"code = visiplan.cli.main(['run', '--scenario', {str(scenario)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(visiplan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "report.json").exists()

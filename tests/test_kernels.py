@@ -1,14 +1,17 @@
 """Property tests: the replan loop's lean kernels against the plain versions
 they replaced.
 
-`reference_raycast`, the `reference_*` ESDF functions and `reference_forest`
-are the earlier numpy implementations, kept verbatim as oracles; the
-triangular solves are checked against scipy. Every comparison is bit-exact:
-the kernels must do the same floating-point operations, not merely close
-ones. The search's line-of-sight and clearance certificates are checked for
+`reference_raycast`, the `reference_*` ESDF functions, `reference_esdf` and
+`reference_forest` are the earlier implementations, kept verbatim as oracles
+(`reference_esdf` is the scipy feature transform the set-up used before it
+went numpy-only). Every comparison is bit-exact: the kernels must do the
+same floating-point operations, not merely close ones. The whitening
+factors are checked against their defining identities instead. The
+search's line-of-sight and clearance certificates are checked for
 soundness: when one holds, the work it skips would have found nothing.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,13 +19,17 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from visiplan.costs import CostWeights
+from visiplan.costs import (CostWeights, DynamicLimits, TargetTrack,
+                            VisibilityParams, total_cost)
 from visiplan.env import ESDFField, OccupancyGrid, build_esdf
 from visiplan.optimizer import solve_triangular, whitening_factors
 from visiplan.search import (_buried_certificate, _clearance_certificate,
                              _sight_certificate, raycast_occluded)
-from visiplan.sim import ScenarioError, generate_random_forest
+from visiplan.sim import (ScenarioError, bundled_scenario,
+                          generate_random_forest, load_scenario)
+from visiplan.spline import TrajectoryBSpline
 
 
 def same_bits(x, y) -> bool:
@@ -139,6 +146,24 @@ def reference_distance_and_gradient(field: ESDFField, p):
     grad = reference_trilinear_grad(field, i0, f)
     grad[clamped] = 0.0
     return val, grad
+
+
+def reference_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:
+    """The distance field from scipy's feature transform."""
+    occ = grid.occupancy
+    if not occ.any():
+        dist = np.full(occ.shape, float(d_trunc))
+        return ESDFField(grid, dist, float(d_trunc))
+    free = ~occ.reshape([n for n in occ.shape if n > 1] or [1])
+    nearest = ndimage.distance_transform_edt(
+        free, return_distances=False, return_indices=True)
+    sq = np.zeros(free.shape, dtype=np.int64)
+    for axis, idx in enumerate(nearest):
+        offset = idx - np.arange(free.shape[axis]).reshape(
+            [-1] + [1] * (free.ndim - 1 - axis))
+        sq += offset * offset
+    dist = np.minimum(np.sqrt(sq) * grid.resolution, d_trunc)
+    return ESDFField(grid, dist.reshape(occ.shape), float(d_trunc))
 
 
 def reference_forest(seed: int, area, count: int, radius_range,
@@ -414,6 +439,63 @@ def test_clearance_certificate_is_sound(data):
 
 
 # ---------------------------------------------------------------------------
+# ESDF build
+
+
+def assert_esdf_matches_reference(grid: OccupancyGrid, d_trunc: float):
+    got, want = build_esdf(grid, d_trunc), reference_esdf(grid, d_trunc)
+    assert got.d_trunc == want.d_trunc
+    assert same_bits(got.distance, want.distance)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_esdf_matches_reference(data):
+    grid = data.draw(grids(planar=data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        grid.occupancy[:] = data.draw(st.booleans())    # empty or full
+    elif data.draw(st.booleans()):
+        sparsen(grid, data)
+    # below one cell, a few cells, and past the whole grid
+    d_trunc = data.draw(st.sampled_from([0.01, 0.3, 1.0, 5.0, 1e9]))
+    assert_esdf_matches_reference(grid, d_trunc)
+
+
+@settings(max_examples=60)
+@given(dims=st.tuples(st.integers(1, 260), st.integers(1, 260),
+                      st.integers(1, 3)),
+       density=st.sampled_from([0.0005, 0.005, 0.05]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dims=(200, 1, 1), density=0.005, seed=0)
+def test_esdf_matches_reference_on_long_axes(dims, density, seed):
+    """Axes longer than the truncation reach, and a d_trunc whose reach
+    (the sum of the dims at resolution 1) passes the int16 range once the
+    dims add up to 130 or more."""
+    grid = OccupancyGrid.empty(1.0, dims)
+    grid.occupancy[:] = np.random.default_rng(seed).random(dims) < density
+    for d_trunc in (3.0, 40.0, 1e9):
+        assert_esdf_matches_reference(grid, d_trunc)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_esdf_matches_reference_on_forests(seed):
+    """Forests drawn as the bundled forest scenario draws them."""
+    g = json.loads(bundled_scenario("forest").read_text())["map"]["generator"]
+    grid = generate_random_forest(seed, g["area"], g["count"],
+                                  g["radius_range"], g["resolution"], [],
+                                  g["clearance"])
+    assert_esdf_matches_reference(grid, 5.0)
+
+
+@pytest.mark.parametrize("name", ["case1", "case2", "forest", "mini"])
+def test_bundled_scenario_esdf_matches_reference(name):
+    sc = load_scenario(bundled_scenario(name))
+    want = reference_esdf(sc.grid, sc.d_trunc)
+    assert same_bits(sc.esdf.distance, want.distance)
+
+
+# ---------------------------------------------------------------------------
 # ESDF queries
 
 
@@ -511,33 +593,94 @@ def test_forest_matches_reference(seed, area, count, radii, resolution,
 
 
 # ---------------------------------------------------------------------------
-# whitening solves
+# whitening factors
+
+
+def hessians(n, dt, weights, od_max):
+    """The curvature estimates the whitening factors are built for."""
+    nf = n - 3
+    d3 = np.diff(np.eye(n), 3, axis=0)[:, 3:] / dt ** 3
+    d1 = np.diff(np.eye(n), 1, axis=0)[:, 3:] / dt
+    smooth, feas = d3.T @ d3, d1.T @ d1
+    return (np.eye(nf) + 2.0 * weights.w_s * smooth
+            + 4.0 * weights.w_f * feas,
+            od_max ** 2 * np.eye(nf) + 2.0 * weights.w_s_phi * smooth
+            + 4.0 * weights.w_f_phi * feas)
+
+
+whitening_cases = given(
+    n=st.integers(4, 40), dt=st.floats(0.02, 0.5),
+    w_s=st.floats(0.0, 1e-2), w_f=st.floats(0.0, 10.0),
+    w_s_phi=st.floats(0.0, 1e-2), w_f_phi=st.floats(0.0, 10.0),
+    od_max=st.floats(0.5, 6.0), seed=st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=100)
-@given(n=st.integers(4, 40), dt=st.floats(0.02, 0.5),
-       w_s=st.floats(0.0, 1e-2), w_f=st.floats(0.0, 10.0),
-       w_s_phi=st.floats(0.0, 1e-2), w_f_phi=st.floats(0.0, 10.0),
-       od_max=st.floats(0.5, 6.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_solves_match_scipy(n, dt, w_s, w_f, w_s_phi, w_f_phi, od_max, seed):
+@whitening_cases
+def test_whitening_factors_invert_the_cholesky_factor(
+        n, dt, w_s, w_f, w_s_phi, w_f_phi, od_max, seed):
     weights = CostWeights(w_f=w_f, w_f_phi=w_f_phi, w_s=w_s, w_s_phi=w_s_phi)
-    r_q, r_phi = whitening_factors(n, dt, weights, od_max)
     nf = n - 3
-    x = np.random.default_rng(seed).normal(scale=10.0, size=4 * nf)
-    # the optimizer's four calls: unpacking and gradient pull-back
-    for a, b, lower in [(r_q, x[:3 * nf].reshape(nf, 3), False),
-                        (r_phi, x[3 * nf:], False),
-                        (r_q.T, x[:3 * nf].reshape(nf, 3), True),
-                        (r_phi.T, x[3 * nf:], True)]:
-        assert same_bits(solve_triangular(a, b, lower=lower),
-                         scipy.linalg.solve_triangular(a, b, lower=lower))
+    q = np.random.default_rng(seed).normal(scale=10.0, size=(nf, 4))
+    for w, h, block in zip(whitening_factors(n, dt, weights, od_max),
+                           hessians(n, dt, weights, od_max),
+                           (q[:, :3], q[:, 3])):
+        assert same_bits(w, np.triu(w))
+        assert not w.flags.writeable
+        # w.T @ h @ w = I up to the rounding that h's conditioning allows
+        # (a float64 product carries about eps times cond(h) of error)
+        cond = np.linalg.norm(h, 2) * np.linalg.norm(w, 2) ** 2
+        assert np.abs(w.T @ h @ w - np.eye(nf)).max() <= 1e-13 * cond
+        # the optimizer's pack (a solve) and unpack (a product) round-trip
+        back = w @ solve_triangular(w, block)
+        assert np.abs(back - block).max() <= 1e-9 * np.abs(block).max()
+
+
+@settings(max_examples=40)
+@whitening_cases
+def test_whitened_gradient_matches_central_differences(
+        n, dt, w_s, w_f, w_s_phi, w_f_phi, od_max, seed):
+    """W.T @ grad is the gradient of cost(unpack(x)), unpack(x) = W @ x."""
+    weights = CostWeights(w_f=w_f, w_f_phi=w_f_phi, w_s=w_s, w_s_phi=w_s_phi)
+    rng = np.random.default_rng(seed)
+    nf = n - 3
+    field = build_esdf(OccupancyGrid.empty(0.5, (40, 40, 1)), 5.0)
+    limits = DynamicLimits(v_m=3.0, a_m=5.0, v_phi_m=3.0, a_phi_m=6.0,
+                           d_thr=0.4, psi_thr=0.6)
+    params = VisibilityParams()
+    track = TargetTrack(np.tile([12.0, 10.0, 0.0], (n - 2, 1))
+                        + rng.normal(scale=0.3, size=(n - 2, 3)))
+    q = np.tile([10.0, 10.0, 0.0], (n, 1)) \
+        + rng.normal(scale=0.5, size=(n, 3)) * [1.0, 1.0, 0.0]
+    traj = TrajectoryBSpline(dt, q, rng.normal(scale=0.5, size=n))
+    w_q, w_phi = whitening_factors(n, dt, weights, od_max)
+    x = np.concatenate([solve_triangular(w_q, traj.q[3:]).ravel(),
+                        solve_triangular(w_phi, traj.phi[3:])])
+
+    def cost(x):
+        traj.q[3:] = w_q @ x[:3 * nf].reshape(nf, 3)
+        traj.phi[3:] = w_phi @ x[3 * nf:]
+        return total_cost(traj, track, field, params, weights, limits)
+
+    rep = cost(x)
+    grad = np.concatenate([(w_q.T @ rep.grad_q[3:]).ravel(),
+                           w_phi.T @ rep.grad_phi[3:]])
+    for _ in range(3):
+        v = rng.normal(size=x.size)
+        v /= np.linalg.norm(v)
+        h = 1e-6 * max(1.0, np.abs(x).max())
+        fd = (cost(x + h * v).total - cost(x - h * v).total) / (2.0 * h)
+        assert fd == pytest.approx(grad @ v, rel=1e-4,
+                                   abs=1e-6 * max(1.0, abs(rep.total)))
 
 
 def test_singular_solve_raises_like_scipy():
+    """The error class is the one scipy.linalg re-exports."""
     a = np.triu(np.ones((3, 3)))
     a[1, 1] = 0.0
-    for lower, m in ((False, a), (True, a.T)):
+    for m in (a, a.T):
         with pytest.raises(scipy.linalg.LinAlgError):
-            scipy.linalg.solve_triangular(m, np.ones(3), lower=lower)
+            scipy.linalg.solve_triangular(m, np.ones(3),
+                                          lower=m is not a)
         with pytest.raises(scipy.linalg.LinAlgError):
-            solve_triangular(m, np.ones(3), lower=lower)
+            solve_triangular(m, np.ones(3))
