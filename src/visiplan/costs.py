@@ -89,7 +89,6 @@ class TargetTrack:
     """Predicted target positions aligned with waypoint indices 1..N-2."""
 
     c: np.ndarray = field(repr=False)
-    extrapolated: bool = False
 
     def __post_init__(self):
         self.c = np.atleast_2d(np.asarray(self.c, dtype=np.float64))

@@ -4,7 +4,9 @@ The grid stores boolean occupancy per cell. The distance field stores, per
 cell, the Euclidean distance to the nearest occupied cell center, clamped to
 a truncation radius. It is built by an exact separable squared distance
 transform in integer numpy, which only needs to look as far as the
-truncation radius. Continuous queries interpolate cell-center values
+truncation radius; its first pass skips the lines that hold no obstacle,
+and the distances come from a direct square root of the squared offsets.
+Continuous queries interpolate cell-center values
 trilinearly; gradients differentiate the interpolant analytically so they are
 consistent with the interpolated values.
 """
@@ -191,7 +193,9 @@ def finite_array(value, shape, name: str, what: str, integral: bool = False,
 def is_number(value, kind) -> bool:
     """True iff `value` is a finite real number, and integral (20 or 20.0)
     when `kind` is int; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # JSON numbers skip the ABC checks; a bool's type is bool, not int
+    if type(value) is not float and type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
     try:
         x = float(value)
@@ -370,23 +374,28 @@ def build_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:
     need = max(2 * reach * reach, occ.shape[-1] + reach)
     dtype = next(t for t in (np.int16, np.int32, np.int64)
                  if need <= np.iinfo(t).max)
-    # the first pass runs along the contiguous last axis and the others
-    # toward axis 0, so that every slice the others take is contiguous
+    # the first pass runs along the contiguous last axis, over the lines
+    # that hold an obstacle only, and the others toward axis 0, so that
+    # every slice the others take is contiguous
     sq = _squared_along_last(occ, reach, dtype)
     for axis in range(occ.ndim - 2, -1, -1):
         _min_plus_squares(sq, axis, reach)
-    # the distance of each squared offset, computed once: sqrt of an integer
-    # (exact in float64) matches a brute-force scan bit-for-bit
-    table = np.minimum(np.sqrt(np.arange(int(sq.max()) + 1, dtype=np.float64))
-                       * grid.resolution, d_trunc)
-    return ESDFField(grid, np.take(table, sq).reshape(grid.dims),
-                     float(d_trunc))
+    # sqrt of an integer (exact in float64), scaled, then clamped: the same
+    # operations as a brute-force scan, so the same bits
+    dist = np.sqrt(sq, dtype=np.float64).reshape(grid.dims)
+    dist *= grid.resolution
+    np.minimum(dist, d_trunc, out=dist)
+    return ESDFField(grid, dist, float(d_trunc))
 
 
 def _squared_along_last(occ: np.ndarray, reach: int, dtype) -> np.ndarray:
     """Squared cell offset to the nearest occupied cell along the last axis,
-    clamped at reach**2 (also where the row holds none)."""
+    clamped at reach**2 (also where the line holds none)."""
     n = occ.shape[-1]
+    out = np.full(occ.shape, reach * reach, dtype=dtype)
+    flat, lines = occ.reshape(-1, n), out.reshape(-1, n)
+    rows = flat.any(axis=1)
+    occ = flat[rows]
     idx = np.arange(n, dtype=dtype)
     below = np.where(occ, idx, -reach)
     np.maximum.accumulate(below, axis=-1, out=below)
@@ -395,7 +404,8 @@ def _squared_along_last(occ: np.ndarray, reach: int, dtype) -> np.ndarray:
     d = np.minimum(idx - below, above[..., ::-1] - idx)
     np.minimum(d, reach, out=d)
     d *= d
-    return d
+    lines[rows] = d
+    return out
 
 
 def _min_plus_squares(f: np.ndarray, axis: int, reach: int) -> None:

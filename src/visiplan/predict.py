@@ -31,10 +31,8 @@ class PredictionModel:
     degree: int
     coeffs: np.ndarray = field(repr=False)   # (degree+1, 3), power basis in (t - t_ref)
     t_ref: float
-    window: tuple[float, float]
     horizon: float
     v_max: float
-    residual_rms: float = 0.0
 
     def position(self, t: float) -> np.ndarray:
         s = t - self.t_ref
@@ -83,19 +81,16 @@ def fit(history: list[TargetObservation], degree: int = 3,
 
     if len(obs) == 1:
         coeffs = pts[:1].copy()
-        return PredictionModel(0, coeffs, t_last, (times[0], t_last),
-                               horizon, v_max, 0.0)
+        return PredictionModel(0, coeffs, t_last, horizon, v_max)
 
     deg = min(degree, len(obs) - 1)
-    coeffs, rms = _ridge_polyfit(times - t_last, pts, deg, ridge)
+    coeffs = _ridge_polyfit(times - t_last, pts, deg, ridge)
     if coeffs is None:       # rank-deficient even with the ridge
         deg = 1
-        coeffs, rms = _ridge_polyfit(times - t_last, pts, deg, ridge)
+        coeffs = _ridge_polyfit(times - t_last, pts, deg, ridge)
         if coeffs is None:
             coeffs = np.vstack([pts[-1], np.zeros(3)])
-            rms = 0.0
-    return PredictionModel(deg, coeffs, t_last, (float(times[0]), t_last),
-                           horizon, v_max, rms)
+    return PredictionModel(deg, coeffs, t_last, horizon, v_max)
 
 
 def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
@@ -106,11 +101,10 @@ def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
     try:
         coeffs = np.linalg.solve(lhs, basis.T @ y)
     except np.linalg.LinAlgError:
-        return None, 0.0
+        return None
     if not np.isfinite(coeffs).all():
-        return None, 0.0
-    resid = basis @ coeffs - y
-    return coeffs, float(np.sqrt((resid ** 2).mean()))
+        return None
+    return coeffs
 
 
 def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
@@ -132,7 +126,7 @@ def predict_track(model: PredictionModel, times) -> TargetTrack:
     """Evaluate the model at the given times (must be >= the fit anchor).
 
     Beyond the speed bound or the validity horizon the track continues at
-    the capped constant velocity; such tracks are flagged extrapolated.
+    the capped constant velocity.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size == 0:
@@ -144,7 +138,6 @@ def predict_track(model: PredictionModel, times) -> TargetTrack:
         t_sat = horizon_end
 
     out = np.zeros((times.size, 3))
-    extrapolated = False
     if t_sat is None:
         for i, t in enumerate(times):
             out[i] = model.position(float(t))
@@ -159,5 +152,4 @@ def predict_track(model: PredictionModel, times) -> TargetTrack:
                 out[i] = model.position(float(t))
             else:
                 out[i] = p_sat + v_sat * (t - t_sat)
-                extrapolated = True
-    return TargetTrack(out, extrapolated=extrapolated)
+    return TargetTrack(out)

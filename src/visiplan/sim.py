@@ -100,13 +100,15 @@ def random_target_script(rng: np.random.Generator, esdf: ESDFField,
     least `clearance` from obstacles along its whole length, and consecutive
     legs turn by at most `_WALK_MAX_TURN` radians (a point target can
     hairpin, a vehicle-like one does not)."""
-    bounds = np.asarray(bounds, dtype=np.float64)
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = \
+        np.asarray(bounds, dtype=np.float64).tolist()
     pts = [np.asarray(start, dtype=np.float64)]
     along = np.linspace(0, 1, 24)[:, None]
     heading = None
     total_time = _WALK_START_HOLD
     while total_time < duration:
         placed = False
+        x, y, z = pts[-1].tolist()
         for attempt in range(_WALK_MAX_TRIES):
             if heading is None:
                 ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -116,9 +118,15 @@ def random_target_script(rng: np.random.Generator, esdf: ESDFField,
                     else math.pi
                 ang = heading + rng.uniform(-spread, spread)
             leg = rng.uniform(*_WALK_LEG_RANGE)
-            cand = pts[-1] + leg * np.array([math.cos(ang), math.sin(ang), 0.0])
-            if np.any(cand < bounds[:, 0]) or np.any(cand > bounds[:, 1]):
+            # the float operations of pts[-1] + leg * (cos, sin, 0), tested
+            # against the bounds before any array is built
+            cx = x + leg * math.cos(ang)
+            cy = y + leg * math.sin(ang)
+            cz = z + leg * 0.0
+            if not (x_lo <= cx <= x_hi and y_lo <= cy <= y_hi
+                    and z_lo <= cz <= z_hi):
                 continue
+            cand = np.array([cx, cy, cz])
             seg = pts[-1] + along * (cand - pts[-1])
             if np.min(esdf.distance_at(seg)) <= clearance:
                 continue
@@ -151,32 +159,41 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     w, h = float(area[0]), float(area[1])
     nx, ny = int(round(w / resolution)), int(round(h / resolution))
     grid = OccupancyGrid.empty(resolution, (nx, ny, 1))
-    keep_clear = [np.asarray(p, dtype=np.float64) for p in keep_clear]
+    keep_x, keep_y = np.array([(p[0], p[1]) for p in keep_clear],
+                              dtype=np.float64).reshape(-1, 2).T
 
     xs = (np.arange(nx) + 0.5) * resolution
     ys = (np.arange(ny) + 0.5) * resolution
-    for _ in range(count):
-        for _ in range(_FOREST_MAX_TRIES):
-            cx = rng.uniform(0.0, w)
-            cy = rng.uniform(0.0, h)
-            r = rng.uniform(*radius_range)
-            if all(np.hypot(p[0] - cx, p[1] - cy) >= r + clearance
-                   for p in keep_clear):
-                # the disc's cells lie inside its index bounding box, grown
-                # by at least a cell on each side; every cell outside misses
-                # the disc by more than a cell, so stamping only the box
-                # sets the same cells
-                i0, j0 = (max(math.floor((c - r) / resolution - 0.5) - 1, 0)
-                          for c in (cx, cy))
-                i1 = min(math.ceil((cx + r) / resolution - 0.5) + 2, nx)
-                j1 = min(math.ceil((cy + r) / resolution - 0.5) + 2, ny)
-                mask = (xs[i0:i1, None] - cx) ** 2 \
-                    + (ys[None, j0:j1] - cy) ** 2 <= r * r
-                grid.occupancy[i0:i1, j0:j1, 0] |= mask
-                break
-        else:
-            raise ScenarioError(
-                f"could not place obstacle with {clearance} m clearance")
+    # one candidate is the draws (cx, cy, r) in this order; a round draws
+    # as many as obstacles are left, and what one obstacle does not use
+    # the next one tries
+    low = (0.0, 0.0, float(radius_range[0]))
+    high = (w, h, float(radius_range[1]))
+    placed = failed = 0
+    while placed < count:
+        cand = rng.uniform(low, high, size=(count - placed, 3))
+        ok = (np.hypot(keep_x - cand[:, :1], keep_y - cand[:, 1:2])
+              >= cand[:, 2:] + clearance).all(axis=1)
+        for (cx, cy, r), clear in zip(cand.tolist(), ok.tolist()):
+            if not clear:
+                failed += 1
+                if failed == _FOREST_MAX_TRIES:
+                    raise ScenarioError(f"could not place obstacle with "
+                                        f"{clearance} m clearance")
+                continue
+            # the disc's cells lie inside its index bounding box, grown by
+            # at least a cell on each side; every cell outside misses the
+            # disc by more than a cell, so stamping only the box sets the
+            # same cells
+            i0, j0 = (max(math.floor((c - r) / resolution - 0.5) - 1, 0)
+                      for c in (cx, cy))
+            i1 = min(math.ceil((cx + r) / resolution - 0.5) + 2, nx)
+            j1 = min(math.ceil((cy + r) / resolution - 0.5) + 2, ny)
+            mask = (xs[i0:i1, None] - cx) ** 2 \
+                + (ys[None, j0:j1] - cy) ** 2 <= r * r
+            grid.occupancy[i0:i1, j0:j1, 0] |= mask
+            placed += 1
+            failed = 0
     return grid
 
 
@@ -255,10 +272,11 @@ _REQUIRED = object()
 
 
 def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
-            above=None):
+            above=None, least=None):
     """d[key] (or `default` when absent) as a `kind` (float or int); a value
-    that is not a finite number, not integral for int, or not greater than
-    `above` when that is given, is a ScenarioError naming the field."""
+    that is not a finite number, not integral for int, not greater than
+    `above` or below `least` when those are given, is a ScenarioError naming
+    the field."""
     value = _require(d, key, ctx) if default is _REQUIRED \
         else d.get(key, default)
     if not is_number(value, kind):
@@ -272,6 +290,9 @@ def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
             else f"greater than {above}"
         raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
                             f"be {bound}, got {value!r}")
+    if least is not None and not number >= least:
+        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
+                            f"be at least {least}, got {value!r}")
     return number
 
 
@@ -469,7 +490,8 @@ def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
             radius_range=radii,
             resolution=resolution,
             keep_clear=keep_clear,
-            clearance=_number(g, "clearance", "map.generator", 1.0))
+            clearance=_number(g, "clearance", "map.generator", 1.0,
+                              least=0))
     if "dims" in m:
         _known(m, "map", {"resolution", "origin", "dims", "occupied"})
         try:
@@ -499,14 +521,23 @@ def _load_target(t: dict, esdf: ESDFField, seed: int,
                     "clearance"})
         rng = np.random.default_rng(
             _number(r, "seed", "target.random", seed, int) + 1)
+        bounds = _vector(r, "bounds", "target.random", shape=(3, 2),
+                         what="3 [low, high] pairs")
+        if not (bounds[:, 0] <= bounds[:, 1]).all():
+            raise ScenarioError("scenario field 'target.random.bounds' must "
+                                "be 3 [low, high] pairs with low <= high, "
+                                f"got {r['bounds']!r}")
+        start = _vector(r, "start", "target.random")
+        if not ((bounds[:, 0] <= start) & (start <= bounds[:, 1])).all():
+            raise ScenarioError("scenario field 'target.random.start' must "
+                                "lie inside target.random.bounds, got "
+                                f"{r['start']!r}")
         return random_target_script(
-            rng, esdf,
-            start=_vector(r, "start", "target.random"),
+            rng, esdf, start=start,
             speed=_number(r, "speed", "target.random", above=0),
             duration=_number(r, "duration", "target.random", duration),
-            bounds=_vector(r, "bounds", "target.random", shape=(3, 2),
-                           what="3 [low, high] pairs"),
-            clearance=_number(r, "clearance", "target.random", 0.6))
+            bounds=bounds,
+            clearance=_number(r, "clearance", "target.random", 0.6, least=0))
     raise ScenarioError("target must carry 'waypoints', 'path' or 'random'")
 
 

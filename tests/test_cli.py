@@ -141,6 +141,15 @@ class TestRunCommand:
         ("forest", "target.random.start_hold", 1.0,
          "target.random.start_hold"),
         ("case1", "map.dims", [10, 10, 1], "map.dims"),
+        # a random walk that could never start, or a negative clearance
+        ("forest", "target.random.bounds",
+         [[18.5, 1.5], [1.5, 18.5], [0.0, 0.0]], "target.random.bounds"),
+        ("forest", "target.random.start", [0.5, 10.0, 0.0],
+         "target.random.start"),
+        ("forest", "target.random.clearance", -0.1,
+         "target.random.clearance"),
+        ("forest", "map.generator.clearance", -0.5,
+         "map.generator.clearance"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):

@@ -1,10 +1,10 @@
 """Property tests: the replan loop's lean kernels against the plain versions
 they replaced.
 
-`reference_raycast`, the `reference_*` ESDF functions, `reference_esdf` and
-`reference_forest` are the earlier implementations, kept verbatim as oracles
-(`reference_esdf` is the scipy feature transform the set-up used before it
-went numpy-only). Every comparison is bit-exact: the kernels must do the
+`reference_raycast`, the `reference_*` ESDF functions, `reference_esdf`,
+`reference_forest`, `reference_walk` and `reference_is_number` are the
+earlier implementations, kept verbatim as oracles (`reference_esdf` is the
+scipy feature transform the set-up used before it went numpy-only). Every comparison is bit-exact: the kernels must do the
 same floating-point operations, not merely close ones. The whitening
 factors are checked against their defining identities instead. The
 search's line-of-sight and clearance certificates are checked for
@@ -13,6 +13,9 @@ soundness: when one holds, the work it skips would have found nothing.
 
 import json
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,12 +26,13 @@ from scipy import ndimage
 
 from visiplan.costs import (CostWeights, DynamicLimits, TargetTrack,
                             VisibilityParams, total_cost)
-from visiplan.env import ESDFField, OccupancyGrid, build_esdf
+from visiplan.env import ESDFField, OccupancyGrid, build_esdf, is_number
 from visiplan.optimizer import solve_triangular, whitening_factors
 from visiplan.search import (_buried_certificate, _clearance_certificate,
                              _sight_certificate, raycast_occluded)
-from visiplan.sim import (ScenarioError, bundled_scenario,
-                          generate_random_forest, load_scenario)
+from visiplan.sim import (ScenarioError, WaypointScript, bundled_scenario,
+                          generate_random_forest, load_scenario,
+                          random_target_script)
 from visiplan.spline import TrajectoryBSpline
 
 
@@ -193,6 +197,51 @@ def reference_forest(seed: int, area, count: int, radius_range,
             raise ScenarioError(
                 f"could not place obstacle with {clearance} m clearance")
     return grid
+
+
+def reference_walk(rng: np.random.Generator, esdf: ESDFField, start,
+                   speed: float, duration: float, bounds,
+                   clearance: float = 0.6) -> WaypointScript:
+    """Every candidate leg built as an array before its bounds test."""
+    bounds = np.asarray(bounds, dtype=np.float64)
+    pts = [np.asarray(start, dtype=np.float64)]
+    along = np.linspace(0, 1, 24)[:, None]
+    heading = None
+    total_time = 0.5
+    while total_time < duration:
+        placed = False
+        for attempt in range(200):
+            if heading is None:
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+            else:
+                spread = 1.6 if attempt < 100 else math.pi
+                ang = heading + rng.uniform(-spread, spread)
+            leg = rng.uniform(2.0, 5.0)
+            cand = pts[-1] + leg * np.array([math.cos(ang), math.sin(ang), 0.0])
+            if np.any(cand < bounds[:, 0]) or np.any(cand > bounds[:, 1]):
+                continue
+            seg = pts[-1] + along * (cand - pts[-1])
+            if np.min(esdf.distance_at(seg)) <= clearance:
+                continue
+            pts.append(cand)
+            heading = ang
+            total_time += leg / speed
+            placed = True
+            break
+        if not placed:
+            raise ScenarioError("could not extend random target path")
+    return WaypointScript.from_path(np.stack(pts), speed, 0.5)
+
+
+def reference_is_number(value, kind) -> bool:
+    """Type-checked through the numbers ABCs only."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(x) and (kind is not int or x.is_integer())
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +602,7 @@ def test_esdf_distance_is_read_only():
 # scenario set-up
 
 
-def forest_or_error(make, *args):
+def result_or_error(make, *args):
     try:
         return make(*args)
     except ScenarioError as e:
@@ -580,16 +629,116 @@ def forest_or_error(make, *args):
          resolution=0.1, keep_clear=[], clearance=0.0)
 @example(seed=2, area=(3.0, 3.0), count=6, radii=(0.01, 0.12),
          resolution=0.25, keep_clear=[(1.5, 1.5, 0.0)], clearance=0.3)
+# every candidate fails: the error after 500 tries
+@example(seed=3, area=(2.0, 2.0), count=3, radii=(0.2, 0.4), resolution=0.1,
+         keep_clear=[(1.0, 1.0, 0.0)], clearance=2.0)
 def test_forest_matches_reference(seed, area, count, radii, resolution,
                                   keep_clear, clearance):
     args = (seed, area, count, radii, resolution, keep_clear, clearance)
-    got = forest_or_error(generate_random_forest, *args)
-    want = forest_or_error(reference_forest, *args)
+    got = result_or_error(generate_random_forest, *args)
+    want = result_or_error(reference_forest, *args)
     if isinstance(want, str):
         assert got == want
     else:
         assert got.dims == want.dims
         assert same_bits(got.occupancy, want.occupancy)
+
+
+# a margin of the walk's box around its start: from none, through boxes
+# that pin the walker down (the cone widens after 100 tries, the walk fails
+# after 200), to the whole map
+margins = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.5]),
+                    cell_floats(0.0, 20.0))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), map_seed=st.integers(0, 2 ** 16),
+       start=st.tuples(cell_floats(1.5, 18.5), cell_floats(1.5, 18.5)),
+       margins=st.tuples(margins, margins, margins, margins),
+       speed=cell_floats(0.3, 3.0), duration=cell_floats(0.0, 30.0),
+       clearance=cell_floats(0.0, 1.0))
+# a corridor 0.6 m wide: each turn at its ends takes the widened cone, and
+# on the second map one such turn finds no leg and the walk fails
+@example(seed=0, map_seed=0, start=(5.0, 10.0), margins=(3.5, 13.5, 0.3, 0.3),
+         speed=1.5, duration=30.0, clearance=0.0)
+@example(seed=1, map_seed=1, start=(5.0, 10.0), margins=(3.5, 13.5, 0.3, 0.3),
+         speed=1.5, duration=30.0, clearance=0.0)
+# a box no leg fits in
+@example(seed=5, map_seed=0, start=(5.0, 10.0), margins=(0.5, 0.5, 0.5, 0.5),
+         speed=1.5, duration=30.0, clearance=0.7)
+def test_walk_matches_reference(seed, map_seed, start, margins, speed,
+                                duration, clearance):
+    g = json.loads(bundled_scenario("forest").read_text())["map"]["generator"]
+    grid = generate_random_forest(map_seed, g["area"], g["count"],
+                                  g["radius_range"], g["resolution"], [],
+                                  g["clearance"])
+    esdf = build_esdf(grid, 5.0)
+    x, y = start
+    bounds = [[x - margins[0], x + margins[1]],
+              [y - margins[2], y + margins[3]], [0.0, 0.0]]
+    args = (esdf, [x, y, 0.0], speed, duration, bounds, clearance)
+    got = result_or_error(random_target_script,
+                          np.random.default_rng(seed), *args)
+    want = result_or_error(reference_walk, np.random.default_rng(seed), *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bits(got.times, want.times) \
+            and same_bits(got.points, want.points)
+
+
+class ScriptedDraws:
+    """Stands in for the walk's generator: `uniform` returns the given
+    values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def uniform(self, low, high):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("ang, bounds", [
+    (0.0, [[5.0, 7.0], [10.0, 10.0], [0.0, 0.0]]),
+    (math.pi, [[3.0, 5.0], [10.0, 10.0], [0.0, 0.0]]),
+    (math.pi / 2, [[5.0, 5.0], [10.0, 12.0], [0.0, 0.0]]),
+    (-math.pi / 2, [[5.0, 5.0], [8.0, 10.0], [0.0, 0.0]]),
+], ids=["x_hi", "x_lo", "y_hi", "y_lo"])
+def test_walk_accepts_a_leg_ending_on_a_bound(ang, bounds):
+    """A 2 m leg that lands exactly on a bound is inside the box."""
+    esdf = build_esdf(OccupancyGrid.empty(0.1, (200, 200, 1)), 5.0)
+    args = (esdf, [5.0, 10.0, 0.0], 2.0, 1.0, bounds, 0.6)
+    got = random_target_script(ScriptedDraws(ang, 2.0), *args)
+    want = reference_walk(ScriptedDraws(ang, 2.0), *args)
+    assert same_bits(got.points, want.points) and len(got.points) == 3
+
+
+numeric = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.integers(), st.integers(-2 ** 1100, 2 ** 1100),
+    st.floats(), st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.fractions(), st.decimals())
+
+
+@settings(max_examples=400)
+@given(value=numeric)
+@example(value=2 ** 1024 - 2 ** 970)          # the least int float() refuses
+@example(value=2 ** 1024 - 2 ** 970 - 1)
+@example(value=-(2 ** 1024 - 2 ** 970))
+@example(value=float("inf"))
+@example(value=float("-inf"))
+@example(value=float("nan"))
+@example(value=20.0)
+@example(value=20.5)
+@example(value=True)
+@example(value=Fraction(3, 2))
+@example(value=Decimal("2"))
+@example(value="20")
+def test_is_number_matches_reference(value):
+    for kind in (int, float):
+        assert is_number(value, kind) is reference_is_number(value, kind)
 
 
 # ---------------------------------------------------------------------------
