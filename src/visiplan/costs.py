@@ -33,9 +33,6 @@ class VisibilityParams:
     od_max: float = 3.5
     rho: float = 0.8
     m_balls: int = 10
-    # literal published orientation of the best-yaw formula (target-to-robot);
-    # default faces the sensor at the target instead
-    ao_sign_as_printed: bool = False
 
     def __post_init__(self):
         require_valid_fields(self)
@@ -144,21 +141,20 @@ def _scatter_waypoint_grad(grad_wp: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def best_yaw(p, c, as_printed: bool = False) -> float:
+def best_yaw(p, c) -> float:
     """Yaw aligning the sensor axis with the target seen from p.
 
-    With as_printed=True the angle points from target to robot instead
-    (differs by pi); the gradient is identical either way.
+    The published formula measures the opposite ray, from target to robot,
+    which differs by pi and has the same gradient.
     """
-    d = (np.asarray(p, float) - np.asarray(c, float)) if as_printed \
-        else (np.asarray(c, float) - np.asarray(p, float))
+    d = np.asarray(c, float) - np.asarray(p, float)
     if d[0] ** 2 + d[1] ** 2 < DEGENERATE_EPS ** 2:
         raise DegenerateGeometryError("robot and target horizontally coincident")
     return float(np.arctan2(d[1], d[0]))
 
 
-def _best_yaw_array(p: np.ndarray, c: np.ndarray, as_printed: bool):
-    d = (p - c) if as_printed else (c - p)
+def _best_yaw_array(p: np.ndarray, c: np.ndarray):
+    d = c - p
     ok = d[:, 0] ** 2 + d[:, 1] ** 2 >= DEGENERATE_EPS ** 2
     psi = np.arctan2(d[:, 1], d[:, 0])
     return psi, ok
@@ -186,7 +182,7 @@ def cost_ao(traj: TrajectoryBSpline, target: TargetTrack,
     yaw and position control points."""
     _check_track(traj, target)
     p, psi = traj.waypoints()
-    psi_best, ok = _best_yaw_array(p, target.c, params.ao_sign_as_printed)
+    psi_best, ok = _best_yaw_array(p, target.c)
     diff = wrap_angle(psi - psi_best)
     diff = np.where(ok, diff, 0.0)
     value = float((diff ** 2).sum())
@@ -298,11 +294,9 @@ def cost_collision(traj: TrajectoryBSpline, limits: DynamicLimits,
                    esdf: ESDFField):
     """Clearance penalty on every control point.
 
-    The published expression carries a trailing obstacle-distance factor that
-    would null the force exactly in contact; the plain hinge on
-    d_thr^2 - Xi^2 is used instead (see VisibilityParams.ao_sign_as_printed
-    for the same spirit of switchable literalism; here the literal variant is
-    not offered because it inverts the repulsion).
+    The published expression carries a trailing obstacle-distance factor
+    that nulls the force exactly in contact and inverts the repulsion; the
+    plain hinge on d_thr^2 - Xi^2 is used instead.
     """
     xi, xi_grad = esdf.distance_and_gradient(traj.q)
     arg = limits.d_thr ** 2 - xi ** 2

@@ -14,8 +14,10 @@ import dataclasses
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -203,10 +205,11 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 
 @dataclass
 class Scenario:
-    """A loaded tracking scenario, built by `scenario_from_dict`, which owns
-    every default. `esdf` is the truncated ESDF of `grid` at `d_trunc`,
-    built once at load and used by the planner; it belongs to that grid, so
-    the grid must not change after loading."""
+    """A loaded tracking scenario, built by `scenario_from_dict` from the
+    scenario table, which owns every default and bound. `esdf` is the
+    truncated ESDF of `grid` at `d_trunc`, built once at load and used by
+    the planner; it belongs to that grid, so the grid must not change after
+    loading."""
 
     name: str
     grid: OccupancyGrid
@@ -220,7 +223,6 @@ class Scenario:
     horizon: float
     search_horizon: float
     num_control_points: int
-    pose_noise_sigma: float
     seed: int
     limits: DynamicLimits
     params: VisibilityParams
@@ -233,12 +235,6 @@ class Scenario:
     predict_v_max: float
     mode: str
     d_trunc: float
-
-    def __post_init__(self):
-        if not 0 < self.fov_h_half < math.pi / 2:
-            raise ScenarioError("horizontal FOV half-angle must be in (0, pi/2)")
-        if not 0 < self.fov_v_half < math.pi / 2:
-            raise ScenarioError("vertical FOV half-angle must be in (0, pi/2)")
 
     def effective_weights(self) -> CostWeights:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
@@ -262,96 +258,190 @@ class Scenario:
         }
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ScenarioError(f"scenario missing field '{key}' in {ctx}")
-    return d[key]
+# ---------------------------------------------------------------------------
+# scenario format: one row per key gives the key, its kind and its default
+# (required when it has none). A kind is called with the value and the
+# field's dotted name; it converts the value and checks its bound, and
+# raises a ScenarioError naming the field.
 
 
 _REQUIRED = object()
+_Row = namedtuple("_Row", "key kind default", defaults=(_REQUIRED,))
 
 
-def _number(d: dict, key: str, ctx: str, default=_REQUIRED, kind=float,
-            above=None, least=None):
-    """d[key] (or `default` when absent) as a `kind` (float or int); a value
-    that is not a finite number, not integral for int, not greater than
-    `above` or below `least` when those are given, is a ScenarioError naming
-    the field."""
-    value = _require(d, key, ctx) if default is _REQUIRED \
-        else d.get(key, default)
-    if not is_number(value, kind):
-        raise ScenarioError(
-            f"scenario field '{_field_name(ctx, key)}' must be "
-            f"{'an integer' if kind is int else 'a finite number'}, "
-            f"got {value!r}")
-    number = kind(value)
-    if above is not None and not number > above:
-        bound = f"at least {above + 1}" if kind is int \
-            else f"greater than {above}"
-        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be {bound}, got {value!r}")
-    if least is not None and not number >= least:
-        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be at least {least}, got {value!r}")
-    return number
+def _field_name(section: str, key: str) -> str:
+    return key if section == "scenario" else f"{section}.{key}"
 
 
-def _vector(d: dict, key: str, ctx: str, default=_REQUIRED, shape=(3,),
-            what="a list of 3 numbers") -> np.ndarray:
-    """d[key] (or `default` when absent) as a finite float array of `shape`,
-    where a None entry takes any length of at least 1; anything else is a
-    ScenarioError naming the field and saying it must be `what`."""
-    value = _require(d, key, ctx) if default is _REQUIRED \
-        else d.get(key, default)
-    try:
-        return finite_array(value, shape, key, what)
-    except GridError:
-        raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
-                            f"be {what}, got {value!r}") from None
+def _bad(name: str, what: str, value) -> ScenarioError:
+    return ScenarioError(f"scenario field '{name}' must be {what}, "
+                         f"got {value!r}")
 
 
-def _points(d: dict, key: str, ctx: str, width: int = 3) -> np.ndarray:
-    """d[key] as a nonempty (N, width) float array: [x, y, z] points, or
-    [t, x, y, z] waypoints for width 4."""
-    return _vector(d, key, ctx, shape=(None, width),
-                   what="a nonempty list of [x, y, z] points" if width == 3
-                   else "a nonempty list of [t, x, y, z] waypoints")
+def _number(kind=float, above=None, least=None, below=None):
+    """Kind: a finite number (integral for int) as a `kind`, greater than
+    `above`, at least `least` and less than `below` where these are given."""
+    def parse(value, name):
+        if not is_number(value, kind):
+            raise _bad(name, "an integer" if kind is int
+                       else "a finite number", value)
+        number = kind(value)
+        if above is not None and not number > above:
+            raise _bad(name, f"at least {above + 1}" if kind is int
+                       else f"greater than {above}", value)
+        if least is not None and not number >= least:
+            raise _bad(name, f"at least {least}", value)
+        if below is not None and not number < below:
+            raise _bad(name, f"less than {below}", value)
+        return number
+    return parse
 
 
-def _field_name(ctx: str, key: str) -> str:
-    return key if ctx == "scenario" else f"{ctx}.{key}"
+def _array(shape, what: str):
+    """Kind: a finite float array of `shape`, where a None entry takes any
+    length of at least 1; `what` says so in an error."""
+    def parse(value, name):
+        try:
+            return finite_array(value, shape, name, what)
+        except GridError:
+            raise _bad(name, what, value) from None
+    return parse
 
 
-def _known(d, ctx: str, keys) -> dict:
-    """`d` when it is an object holding no key outside `keys`; anything
-    else is a ScenarioError naming the section `ctx` or the unknown
-    field."""
+def _choice(*options):
+    """Kind: one of `options`."""
+    def parse(value, name):
+        if value not in options:
+            raise _bad(name, " or ".join(map(repr, options)), value)
+        return value
+    return parse
+
+
+def _text(value, name) -> str:
+    return str(value)
+
+
+def _as_given(value, name):
+    return value
+
+
+def _object(d, section: str, keys) -> None:
+    """A ScenarioError naming `section` unless `d` is an object, or naming
+    its first key outside `keys`."""
     if not isinstance(d, dict):
-        raise ScenarioError(f"scenario field '{ctx}' must be an object")
+        raise ScenarioError(f"scenario field '{section}' must be an object")
     for key in d:
         if key not in keys:
             raise ScenarioError(
-                f"unknown scenario field '{_field_name(ctx, key)}'")
-    return d
+                f"unknown scenario field '{_field_name(section, key)}'")
 
 
-_SCENARIO_KEYS = {
-    "name", "seed", "map", "d_trunc", "robot_start", "target", "duration",
-    "horizon", "search_horizon", "fov_h_deg", "fov_v_deg", "replan_period",
-    "num_control_points", "pose_noise_sigma", "predict",
-    "limits", "params", "weights", "search", "optimizer"}
+def _read(d, section: str, rows) -> SimpleNamespace:
+    """The values of `section`, an object read against `rows`; an absent
+    key takes its row's default, and a None default reads as None."""
+    _object(d, section, [row.key for row in rows])
+    prefix = _field_name(section, "")
+    values = SimpleNamespace()
+    for key, kind, default in rows:
+        if key in d:
+            value = kind(d[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ScenarioError(f"scenario missing field '{key}' in {section}")
+        else:
+            value = default if default is None else kind(default, prefix + key)
+        setattr(values, key, value)
+    return values
 
 
-def _config(cls, raw: dict, section: str, defaults: dict | None = None):
-    """The config dataclass `cls` built from scenario section `section`
-    over `defaults`; unknown or invalid fields are a ScenarioError naming
-    the section and the field."""
-    given = _known(raw.get(section, {}), section,
-                   {f.name for f in dataclasses.fields(cls)})
-    try:
-        return cls(**{**(defaults or {}), **given})
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"scenario section '{section}': {e}") from e
+def _section(*rows):
+    """Kind: an object read against `rows`."""
+    return lambda value, name: _read(value, name, rows)
+
+
+def _one_of(*kinds):
+    """Kind: an object read against the first of the row sets `kinds` whose
+    first key it holds; gives that row set and the values."""
+    def parse(value, name):
+        for rows in kinds:
+            if isinstance(value, dict) and rows[0].key in value:
+                return rows, _read(value, name, rows)
+        keys = [rows[0].key for rows in kinds]
+        raise ScenarioError(f"scenario field '{name}' must be an object "
+                            f"with one of the keys {keys}")
+    return parse
+
+
+def _config(cls, **defaults):
+    """Kind: the config dataclass `cls` built over `defaults`; the class
+    checks its own fields, and its errors name the section."""
+    def parse(value, name):
+        _object(value, name, {f.name for f in dataclasses.fields(cls)})
+        try:
+            return cls(**{**defaults, **value})
+        except (TypeError, ValueError) as e:
+            raise ScenarioError(f"scenario section '{name}': {e}") from e
+    return parse
+
+
+_SEED = _number(int, least=0)
+_POSITIVE = _number(above=0)
+_NONNEGATIVE = _number(least=0)
+_POINT = _array((3,), "a list of 3 numbers")
+_CONE_DEG = _number(above=0, below=180)     # a full FOV angle in degrees
+
+# the kinds of map and of target, each told by its first key; an inline
+# grid's fields are checked by the grid
+_GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE, None),
+              _Row("origin", _POINT, (0.0, 0.0, 0.0)))
+_FOREST = (_Row("generator", _section(
+    _Row("kind", _choice("forest"), "forest"),
+    _Row("area", _array((2,), "a list of 2 positive numbers")),
+    _Row("count", _number(int, least=0)),
+    _Row("radius_range", _array((2,), "a list [low, high] with "
+                                "0 < low <= high")),
+    _Row("resolution", _POSITIVE, 0.1),
+    _Row("clearance", _NONNEGATIVE, 1.0))),)
+_INLINE_GRID = tuple(_Row(key, _as_given)
+                     for key in ("dims", "resolution", "origin", "occupied"))
+_WAYPOINTS = (_Row("waypoints", _array(
+    (None, 4), "a nonempty list of [t, x, y, z] waypoints")),)
+_PATH = (_Row("path", _array((None, 3), "a nonempty list of [x, y, z] "
+                             "points")),
+         _Row("speed", _POSITIVE, 1.0),
+         _Row("start_hold", _NONNEGATIVE, 0.0))
+_RANDOM_WALK = (_Row("random", _section(
+    _Row("start", _POINT),
+    _Row("speed", _POSITIVE),
+    _Row("bounds", _array((3, 2), "3 [low, high] pairs")),
+    _Row("clearance", _NONNEGATIVE, 0.6))),)
+
+_SCENARIO = (
+    _Row("name", _text, "scenario"),
+    _Row("seed", _SEED, 0),
+    _Row("map", _one_of(_GRID_FILE, _FOREST, _INLINE_GRID)),
+    _Row("d_trunc", _POSITIVE, 5.0),
+    _Row("robot_start", _section(_Row("p", _POINT),
+                                 _Row("yaw", _number(), 0.0))),
+    _Row("target", _one_of(_WAYPOINTS, _PATH, _RANDOM_WALK)),
+    _Row("duration", _POSITIVE),
+    _Row("horizon", _POSITIVE, 3.0),
+    _Row("search_horizon", _POSITIVE, None),    # None: the horizon
+    _Row("fov_h_deg", _CONE_DEG, 80.0),
+    _Row("fov_v_deg", _CONE_DEG, 65.0),
+    _Row("replan_period", _POSITIVE, 0.1),
+    # a cubic B-spline needs one free control point past the three pinned
+    # by the start state
+    _Row("num_control_points", _number(int, above=3), 33),
+    _Row("predict", _section(_Row("degree", _number(int, least=0), 3),
+                             _Row("ridge", _number(), 1e-4),
+                             _Row("window", _NONNEGATIVE, 2.0),
+                             _Row("v_max", _NONNEGATIVE, 2.5)), {}),
+    _Row("limits", _config(DynamicLimits), {}),
+    _Row("params", _config(VisibilityParams), {}),
+    _Row("weights", _config(CostWeights), {}),
+    _Row("search", _config(SearchConfig), {}),
+    _Row("optimizer", _config(OptimizerConfig, max_iterations=30), {}),
+)
 
 
 def load_scenario(path, mode: str = "visibility",
@@ -370,175 +460,89 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     if mode not in ("visibility", "baseline"):
         raise ScenarioError(f"unknown mode '{mode}'")
-    _known(raw, "scenario", _SCENARIO_KEYS)
-    eff_seed = int(seed) if seed is not None \
-        else _number(raw, "seed", "scenario", 0, int)
-
-    limits = _config(DynamicLimits, raw, "limits")
-    params = _config(VisibilityParams, raw, "params")
-    weights = _config(CostWeights, raw, "weights")
-    search_cfg = _config(SearchConfig, raw, "search")
-    opt_cfg = _config(OptimizerConfig, raw, "optimizer",
-                      {"max_iterations": 30})
-
-    grid = _load_map(_require(raw, "map", "scenario"), base_dir, eff_seed, raw)
-    d_trunc = _number(raw, "d_trunc", "scenario", 5.0)
-    try:
-        esdf = build_esdf(grid, d_trunc)
-    except GridError as e:
-        raise ScenarioError(f"scenario field 'd_trunc': {e}") from e
-
-    rs = _known(_require(raw, "robot_start", "scenario"), "robot_start",
-                {"p", "v", "a", "yaw", "yaw_rate"})
-    start = RobotState(
-        _vector(rs, "p", "robot_start"),
-        _vector(rs, "v", "robot_start", [0.0, 0.0, 0.0]),
-        _vector(rs, "a", "robot_start", [0.0, 0.0, 0.0]),
-        _number(rs, "yaw", "robot_start", 0.0),
-        _number(rs, "yaw_rate", "robot_start", 0.0))
-
-    tgt = _require(raw, "target", "scenario")
-    duration = _number(raw, "duration", "scenario", above=0)
-    horizon = _number(raw, "horizon", "scenario", 3.0, above=0)
-    pr = _known(raw.get("predict", {}), "predict",
-                {"degree", "ridge", "window", "v_max"})
-    scenario = Scenario(
-        name=str(raw.get("name", "scenario")),
+    s = _read(raw, "scenario", _SCENARIO)
+    if seed is not None:
+        s.seed = _SEED(seed, "seed")
+    start = RobotState.at_rest(s.robot_start.p, s.robot_start.yaw)
+    grid = _load_map(*s.map, base_dir, s.seed,
+                     keep_clear=(start.p, _target_start(*s.target)))
+    esdf = build_esdf(grid, s.d_trunc)
+    return Scenario(
+        name=s.name,
         grid=grid,
         esdf=esdf,
         start=start,
-        target=_load_target(tgt, esdf, eff_seed, duration),
-        fov_h_half=math.radians(
-            _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
-        fov_v_half=math.radians(
-            _number(raw, "fov_v_deg", "scenario", 65.0) / 2.0),
-        replan_period=_number(raw, "replan_period", "scenario", 0.1,
-                              above=0),
-        duration=duration,
-        horizon=horizon,
-        search_horizon=_number(raw, "search_horizon", "scenario", horizon,
-                               above=0),
-        # a cubic B-spline needs one free control point past the three
-        # pinned by the start state
-        num_control_points=_number(raw, "num_control_points", "scenario",
-                                   33, int, above=3),
-        pose_noise_sigma=_number(raw, "pose_noise_sigma", "scenario", 0.0),
-        seed=eff_seed,
-        limits=limits, params=params, weights=weights,
-        search_config=search_cfg, optimizer_config=opt_cfg,
-        predict_degree=_number(pr, "degree", "predict", 3, int),
-        predict_ridge=_number(pr, "ridge", "predict", 1e-4),
-        predict_window=_number(pr, "window", "predict", 2.0),
-        predict_v_max=_number(pr, "v_max", "predict", 2.5),
+        target=_load_target(*s.target, esdf, s.seed, s.duration),
+        fov_h_half=math.radians(s.fov_h_deg / 2.0),
+        fov_v_half=math.radians(s.fov_v_deg / 2.0),
+        replan_period=s.replan_period,
+        duration=s.duration,
+        horizon=s.horizon,
+        search_horizon=s.search_horizon or s.horizon,
+        num_control_points=s.num_control_points,
+        seed=s.seed,
+        limits=s.limits, params=s.params, weights=s.weights,
+        search_config=s.search, optimizer_config=s.optimizer,
+        predict_degree=s.predict.degree,
+        predict_ridge=s.predict.ridge,
+        predict_window=s.predict.window,
+        predict_v_max=s.predict.v_max,
         mode=mode,
-        d_trunc=d_trunc,
+        d_trunc=s.d_trunc,
     )
-    return scenario
 
 
-def _load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> OccupancyGrid:
-    if "file" in m:
-        _known(m, "map", {"file", "resolution", "origin"})
-        p = base_dir / m["file"]
-        resolution = _number(m, "resolution", "map", above=0) \
-            if "resolution" in m else None
-        origin = _vector(m, "origin", "map", [0.0, 0.0, 0.0])
+def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
+              keep_clear) -> OccupancyGrid:
+    if kind is _GRID_FILE:
         try:
-            return load_grid(p, resolution=resolution, origin=origin)
+            return load_grid(base_dir / m.file, resolution=m.resolution,
+                             origin=m.origin)
         except (OSError, GridError) as e:
-            raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
-    if "generator" in m:
-        _known(m, "map", {"generator"})
-        g = _known(m["generator"], "map.generator",
-                   {"kind", "seed", "area", "count", "radius_range",
-                    "resolution", "clearance", "keep_clear"})
-        if g.get("kind", "forest") != "forest":
-            raise ScenarioError(f"unknown map generator '{g.get('kind')}'")
-        keep_clear = list(_points(g, "keep_clear", "map.generator")) \
-            if "keep_clear" in g else []
-        keep_clear.append(_vector(_require(raw, "robot_start", "scenario"),
-                                  "p", "robot_start"))
-        tgt = raw.get("target", {})
-        if "waypoints" in tgt:
-            keep_clear.append(_points(tgt, "waypoints", "target", 4)[0, 1:])
-        if "path" in tgt:
-            keep_clear.append(_points(tgt, "path", "target")[0])
-        if "random" in tgt:
-            keep_clear.append(_vector(tgt["random"], "start", "target.random"))
-        area = _vector(g, "area", "map.generator", shape=(2,),
-                       what="a list of 2 positive numbers")
-        if not (area > 0).all():
-            raise ScenarioError("scenario field 'map.generator.area' must be "
-                                f"a list of 2 positive numbers, got "
-                                f"{g['area']!r}")
-        resolution = _number(g, "resolution", "map.generator", 0.1, above=0)
-        if any(round(float(a) / resolution) < 1 for a in area):
-            raise ScenarioError("scenario field 'map.generator.area' must "
-                                "span at least one cell at the generator's "
-                                f"resolution {resolution!r}, got "
-                                f"{g['area']!r}")
-        radii = _vector(g, "radius_range", "map.generator", shape=(2,),
-                        what="a list [low, high] with 0 < low <= high")
-        if not 0.0 < radii[0] <= radii[1]:
-            raise ScenarioError("scenario field 'map.generator.radius_range' "
-                                "must be a list [low, high] with 0 < low <= "
-                                f"high, got {g['radius_range']!r}")
-        return generate_random_forest(
-            seed=_number(g, "seed", "map.generator", seed, int),
-            area=area,
-            count=_number(g, "count", "map.generator", kind=int, above=-1),
-            radius_range=radii,
-            resolution=resolution,
-            keep_clear=keep_clear,
-            clearance=_number(g, "clearance", "map.generator", 1.0,
-                              least=0))
-    if "dims" in m:
-        _known(m, "map", {"resolution", "origin", "dims", "occupied"})
+            raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
+    if kind is _INLINE_GRID:
         try:
-            return OccupancyGrid.from_json_dict(m)
+            return OccupancyGrid.from_json_dict(vars(m))
         except GridError as e:
             named = f"scenario field 'map.{e.field}': " if e.field else ""
             raise ScenarioError(named + str(e)) from e
-    raise ScenarioError("map must carry 'file', 'generator' or inline grid fields")
+    g = m.generator
+    if any(round(float(a) / g.resolution) < 1 for a in g.area):
+        raise ScenarioError("scenario field 'map.generator.area' must span "
+                            "at least one cell at the generator's resolution "
+                            f"{g.resolution!r}, got {g.area.tolist()!r}")
+    if not 0.0 < g.radius_range[0] <= g.radius_range[1]:
+        raise _bad("map.generator.radius_range",
+                   "a list [low, high] with 0 < low <= high",
+                   g.radius_range.tolist())
+    return generate_random_forest(seed, g.area, g.count, g.radius_range,
+                                  g.resolution, keep_clear, g.clearance)
 
 
-def _load_target(t: dict, esdf: ESDFField, seed: int,
+def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
+    if kind is _WAYPOINTS:
+        return t.waypoints[0, 1:]
+    if kind is _PATH:
+        return t.path[0]
+    return t.random.start
+
+
+def _load_target(kind, t: SimpleNamespace, esdf: ESDFField, seed: int,
                  duration: float) -> WaypointScript:
-    if "waypoints" in t:
-        _known(t, "target", {"waypoints"})
-        wps = _points(t, "waypoints", "target", 4)
-        return WaypointScript(wps[:, 0], wps[:, 1:])
-    if "path" in t:
-        _known(t, "target", {"path", "speed", "start_hold"})
-        return WaypointScript.from_path(
-            _points(t, "path", "target"),
-            _number(t, "speed", "target", 1.0, above=0),
-            _number(t, "start_hold", "target", 0.0))
-    if "random" in t:
-        _known(t, "target", {"random"})
-        r = _known(t["random"], "target.random",
-                   {"seed", "start", "speed", "duration", "bounds",
-                    "clearance"})
-        rng = np.random.default_rng(
-            _number(r, "seed", "target.random", seed, int) + 1)
-        bounds = _vector(r, "bounds", "target.random", shape=(3, 2),
-                         what="3 [low, high] pairs")
-        if not (bounds[:, 0] <= bounds[:, 1]).all():
-            raise ScenarioError("scenario field 'target.random.bounds' must "
-                                "be 3 [low, high] pairs with low <= high, "
-                                f"got {r['bounds']!r}")
-        start = _vector(r, "start", "target.random")
-        if not ((bounds[:, 0] <= start) & (start <= bounds[:, 1])).all():
-            raise ScenarioError("scenario field 'target.random.start' must "
-                                "lie inside target.random.bounds, got "
-                                f"{r['start']!r}")
-        return random_target_script(
-            rng, esdf, start=start,
-            speed=_number(r, "speed", "target.random", above=0),
-            duration=_number(r, "duration", "target.random", duration),
-            bounds=bounds,
-            clearance=_number(r, "clearance", "target.random", 0.6, least=0))
-    raise ScenarioError("target must carry 'waypoints', 'path' or 'random'")
+    if kind is _WAYPOINTS:
+        return WaypointScript(t.waypoints[:, 0], t.waypoints[:, 1:])
+    if kind is _PATH:
+        return WaypointScript.from_path(t.path, t.speed, t.start_hold)
+    r = t.random
+    if not (r.bounds[:, 0] <= r.bounds[:, 1]).all():
+        raise _bad("target.random.bounds",
+                   "3 [low, high] pairs with low <= high", r.bounds.tolist())
+    if not ((r.bounds[:, 0] <= r.start) & (r.start <= r.bounds[:, 1])).all():
+        raise _bad("target.random.start", "inside target.random.bounds",
+                   r.start.tolist())
+    return random_target_script(np.random.default_rng(seed + 1), esdf,
+                                r.start, r.speed, duration, r.bounds,
+                                r.clearance)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +759,6 @@ class Planner:
 
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
-    rng = np.random.default_rng(sc.seed)
     history = HistoryBuffer(span=sc.predict_window * 2.0)
     planner = Planner(sc, collect_traces)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
@@ -782,29 +785,23 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
                 break
             state = traj.state_at(min(t - t0, traj.duration()))
 
-        pose_p = state.p
-        pose_yaw = state.yaw
-        if sc.pose_noise_sigma > 0.0:
-            pose_p = pose_p + rng.normal(0.0, sc.pose_noise_sigma, 3)
-            pose_yaw = pose_yaw + rng.normal(0.0, sc.pose_noise_sigma)
-
-        rel = target_p - pose_p
+        rel = target_p - state.p
         d = float(np.linalg.norm(rel))
         psi_best = math.atan2(rel[1], rel[0])
-        psi_err = abs(wrap_angle(pose_yaw - psi_best))
-        occluded = raycast_occluded(sc.grid, pose_p, target_p)
+        psi_err = abs(wrap_angle(state.yaw - psi_best))
+        occluded = raycast_occluded(sc.grid, state.p, target_p)
         fov = (not occluded) and _cone_contains(
-            pose_p, pose_yaw, target_p, sc.fov_h_half, sc.fov_v_half)
+            state.p, state.yaw, target_p, sc.fov_h_half, sc.fov_v_half)
 
         prev_occluded = report.steps[-1].occluded if report.steps else False
         if occluded and not prev_occluded:
             report.occlusion_events += 1
-        report.steps.append(StepRecord(t, pose_p.copy(), pose_yaw,
+        report.steps.append(StepRecord(t, state.p.copy(), state.yaw,
                                        target_p.copy(), d, psi_err, fov,
                                        occluded))
         if fov:
             report.tracked_steps += 1
-            rx, ry = _rot(rel, -pose_yaw)
+            rx, ry = _rot(rel, -state.yaw)
             ix = min(max(int((rx + HEATMAP_WINDOW / 2) // HEATMAP_BIN), 0),
                      2 * half_bins - 1)
             iy = min(max(int((ry + HEATMAP_WINDOW / 2) // HEATMAP_BIN), 0),

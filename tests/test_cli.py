@@ -75,7 +75,6 @@ class TestRunCommand:
         ("params", "rho", math.inf, "rho"),
         ("search", "tau", math.nan, "tau"),
         ("optimizer", "max_iterations", math.nan, "max_iterations"),
-        (None, "pose_noise_sigma", math.nan, "pose_noise_sigma"),
         (None, "num_control_points", math.inf, "num_control_points"),
         ("predict", "ridge", -math.inf, "predict.ridge"),
         # integer fields hold integral numbers, boolean fields true or false
@@ -90,6 +89,7 @@ class TestRunCommand:
          "optimizer.wall_clock_budget"),
         ("search", "standoff", 3.0, "search.standoff"),
         ("search", "goal_tolerance", 0.5, "search.goal_tolerance"),
+        (None, "pose_noise_sigma", math.nan, "pose_noise_sigma"),
         # unknown keys in the sections outside the config dataclasses
         (None, "horizn", 5.0, "horizn"),
         ("map", "bogus", 1.0, "map.bogus"),
@@ -150,6 +150,25 @@ class TestRunCommand:
          "target.random.clearance"),
         ("forest", "map.generator.clearance", -0.5,
          "map.generator.clearance"),
+        # values that crashed or ran, or a message that named no field
+        ("mini", "seed", -1, "seed"),
+        ("mini", "fov_h_deg", 200, "fov_h_deg"),
+        ("mini", "fov_v_deg", 0, "fov_v_deg"),
+        ("forest", "map.generator.kind", "rocks", "map.generator.kind"),
+        ("mini", "predict.degree", -1, "predict.degree"),
+        ("mini", "predict.window", -1.0, "predict.window"),
+        ("mini", "predict.v_max", -1.0, "predict.v_max"),
+        ("mini", "target.start_hold", -1.0, "target.start_hold"),
+        # seeds of their own are deleted settings, so unknown fields
+        ("forest", "map.generator.seed", -1, "map.generator.seed"),
+        ("forest", "target.random.seed", -1, "target.random.seed"),
+        # fields no row above covers
+        ("mini", "horizon", 0, "horizon"),
+        ("forest", "search_horizon", -1.0, "search_horizon"),
+        ("mini", "robot_start.yaw", "north", "robot_start.yaw"),
+        ("forest", "map.generator.count", 2.5, "map.generator.count"),
+        ("forest", "map.generator.resolution", 0, "map.generator.resolution"),
+        ("forest", "target.random.speed", 0, "target.random.speed"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -169,6 +188,13 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_option_exits_2(self, mini_path, tmp_path, capsys):
+        code = main(["run", "--scenario", mini_path, "--seed", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'seed' must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_generator_area_below_one_cell(self, tmp_path, capsys):

@@ -95,15 +95,6 @@ class TestBestYaw:
         assert best_yaw([0, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
         assert best_yaw([0, 0, 0], [1, 1, 0]) == pytest.approx(np.pi / 4)
 
-    def test_as_printed_flips_by_pi(self):
-        # the published formula measures the opposite ray
-        assert best_yaw([1, 0, 0], [0, 0, 0], as_printed=True) \
-            == pytest.approx(0.0)
-        assert best_yaw([0, 1, 0], [0, 0, 0], as_printed=True) \
-            == pytest.approx(np.pi / 2)
-        assert best_yaw([1, 1, 0], [0, 0, 0], as_printed=True) \
-            == pytest.approx(np.pi / 4)
-
     def test_degenerate(self):
         with pytest.raises(DegenerateGeometryError):
             best_yaw([0, 0, 1.0], [0, 0, 0])

@@ -1,10 +1,12 @@
 """Oracle tests: `run` against the simulator loop it replaced.
 
 `reference_run` is `run` as it was before the replan pipeline moved into
-`Planner`, kept verbatim (only renamed) together with its path check and
-rotation helper; `reference_config_echo` is the scenario echo as it was
-before the weight keys came from the cost-term table. The simulator must
-record the same steps, report and traces bit for bit, in both modes.
+`Planner`, kept verbatim (only renamed, and without the pose noise of the
+since deleted `pose_noise_sigma`, which no scenario set) together with its
+path check and rotation helper; `reference_config_echo` is the scenario echo
+as it was before the weight keys came from the cost-term table. The
+simulator must record the same steps, report and traces bit for bit, in
+both modes.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ def reference_config_echo(self) -> dict:
 def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
     esdf = sc.esdf
-    rng = np.random.default_rng(sc.seed)
     history = HistoryBuffer(span=sc.predict_window * 2.0)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
 
@@ -89,9 +90,6 @@ def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport
 
         pose_p = state.p
         pose_yaw = state.yaw
-        if sc.pose_noise_sigma > 0.0:
-            pose_p = pose_p + rng.normal(0.0, sc.pose_noise_sigma, 3)
-            pose_yaw = pose_yaw + rng.normal(0.0, sc.pose_noise_sigma)
 
         rel = target_p - pose_p
         d = float(np.linalg.norm(rel))

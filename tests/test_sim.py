@@ -264,15 +264,6 @@ class TestRun:
         assert report.termination == "planner_failure"
         assert report.failure_time == 0.0
 
-    def test_pose_noise_deterministic(self):
-        sc1 = load_scenario(bundled_scenario("mini"))
-        sc1.pose_noise_sigma = 0.01
-        sc2 = load_scenario(bundled_scenario("mini"))
-        sc2.pose_noise_sigma = 0.01
-        r1, r2 = run(sc1), run(sc2)
-        assert dumps_canonical(r1.to_json_dict()) == \
-            dumps_canonical(r2.to_json_dict())
-
 
 class TestOutputs:
     def test_write_outputs_files(self, mini_vis, tmp_path):
