@@ -1,8 +1,8 @@
 """Visibility-aware position/yaw trajectory planning and tracking simulation."""
 
 from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
-                    VisibilityParams, best_yaw, cost_ao, cost_collision,
-                    cost_do, cost_feasibility, cost_oe, cost_safe_tracking,
+                    VisibilityParams, cost_ao, cost_collision, cost_do,
+                    cost_feasibility, cost_oe, cost_safe_tracking,
                     cost_smoothness, cost_yaw_feasibility, cost_yaw_smoothness,
                     penalty, penalty_derivative, total_cost)
 from .env import ESDFField, GridError, OccupancyGrid, build_esdf, load_grid
@@ -14,7 +14,7 @@ from .search import (InvalidStart, SearchConfig, SearchExhausted, SearchNode,
                      raycast_occluded, search)
 from .sim import (Planner, RunReport, Scenario, generate_random_forest,
                   load_scenario, run, write_outputs)
-from .spline import (RobotState, TrajectoryBSpline, Waypoint,
-                     initialize_from_path, wrap_angle)
+from .spline import (RobotState, TrajectoryBSpline, initialize_from_path,
+                     wrap_angle)
 
 __version__ = "0.1.0"

@@ -104,7 +104,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        workers = int(os.environ.get("VISIPLAN_THREADS", "1"))
+    except ValueError as e:
+        print(f"visiplan: --seeds takes comma-separated integers and "
+              f"VISIPLAN_THREADS an integer: {e}", file=sys.stderr)
+        return 2
     modes = ["visibility", "baseline"] if args.modes == "both" else [args.modes]
     outdir = Path(args.out)
     try:
@@ -112,7 +118,6 @@ def cmd_bench(args) -> int:
         jobs = [(args.scenario, seed, mode,
                  str(outdir / f"seed{seed}_{mode}"))
                 for seed in seeds for mode in modes]
-        workers = int(os.environ.get("VISIPLAN_THREADS", "1"))
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_worker, jobs))

@@ -23,10 +23,6 @@ HOVER_EPS = 1e-3           # horizontal speed below which tracking is skipped
 TRACKING_GATE_SPEED = 0.1  # full tracking-term strength above this speed
 
 
-class DegenerateGeometryError(ValueError):
-    """Robot and target horizontally coincident: best yaw undefined."""
-
-
 @dataclass
 class VisibilityParams:
     od_min: float = 2.5
@@ -96,22 +92,14 @@ class TargetTrack:
 
 @dataclass
 class CostReport:
-    do: float
-    ao: float
-    oe: float
-    feasibility: float
-    yaw_feasibility: float
-    smoothness: float
-    yaw_smoothness: float
-    collision: float
-    safe_tracking: float
+    terms: dict[str, float]     # unweighted value by term name, TERMS order
     total: float
     grad_q: np.ndarray = field(repr=False)
     grad_phi: np.ndarray = field(repr=False)
 
     def term_values(self) -> dict[str, float]:
         """Term values by column name, in TERMS order, then the total."""
-        values = {t.column: getattr(self, t.name) for t in TERMS}
+        values = {t.column: self.terms[t.name] for t in TERMS}
         values["total"] = self.total
         return values
 
@@ -141,19 +129,14 @@ def _scatter_waypoint_grad(grad_wp: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def best_yaw(p, c) -> float:
-    """Yaw aligning the sensor axis with the target seen from p.
+def _best_yaw_array(p: np.ndarray, c: np.ndarray):
+    """Yaws (N,) aligning the sensor axis with the targets c seen from the
+    points p, and a mask (N,) that is false where robot and target are
+    horizontally coincident and the yaw is undefined.
 
     The published formula measures the opposite ray, from target to robot,
     which differs by pi and has the same gradient.
     """
-    d = np.asarray(c, float) - np.asarray(p, float)
-    if d[0] ** 2 + d[1] ** 2 < DEGENERATE_EPS ** 2:
-        raise DegenerateGeometryError("robot and target horizontally coincident")
-    return float(np.arctan2(d[1], d[0]))
-
-
-def _best_yaw_array(p: np.ndarray, c: np.ndarray):
     d = c - p
     ok = d[:, 0] ** 2 + d[:, 1] ** 2 >= DEGENERATE_EPS ** 2
     psi = np.arctan2(d[:, 1], d[:, 0])
@@ -350,8 +333,8 @@ def cost_safe_tracking(traj: TrajectoryBSpline, params: VisibilityParams,
     return value, grad_q, grad_phi
 
 
-# Every objective term, in evaluation order: its CostReport field, its
-# CostWeights field, its column in `CostReport.term_values` and the trace
+# Every objective term, in evaluation order: its key in `CostReport.terms`,
+# its CostWeights field, its column in `CostReport.term_values` and the trace
 # files, and the arguments its function cost_<name> takes.
 Term = namedtuple("Term", "name weight column args")
 TERMS = (
@@ -402,5 +385,4 @@ def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         grad_phi[:3] = 0.0
 
     total = sum(getattr(weights, t.weight) * vals[t.name] for t in TERMS)
-    return CostReport(**vals, total=float(total), grad_q=grad_q,
-                      grad_phi=grad_phi)
+    return CostReport(vals, float(total), grad_q, grad_phi)

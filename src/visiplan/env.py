@@ -48,10 +48,10 @@ class OccupancyGrid:
 
     def __post_init__(self):
         res = self.resolution
-        if not (isinstance(res, numbers.Real) and math.isfinite(res)
-                and res > 0):
+        if not (is_number(res, float) and res > 0):
             raise GridError(f"resolution must be a positive number, got "
                             f"{res!r}", "resolution")
+        self.resolution = float(res)
         try:
             dims_ok = len(self.dims) == 3 and all(
                 isinstance(n, numbers.Integral) and n >= 1 for n in self.dims)
@@ -129,14 +129,9 @@ class OccupancyGrid:
         for key in ("resolution", "origin", "dims", "occupied"):
             if key not in d:
                 raise GridError(f"grid JSON missing field '{key}'")
-        try:
-            resolution = float(d["resolution"])
-        except (TypeError, ValueError):
-            raise GridError(f"resolution must be a positive number, got "
-                            f"{d['resolution']!r}", "resolution") from None
         dims = tuple(int(n) for n in finite_array(
             d["dims"], (3,), "dims", "3 integers >= 1", integral=True))
-        grid = cls.empty(resolution, dims, d["origin"])
+        grid = cls.empty(d["resolution"], dims, d["origin"])
         cells = finite_array(d["occupied"], (None, 3), "occupied",
                              "a list of [i, j, k] integer cells",
                              integral=True, empty=True)
@@ -319,16 +314,6 @@ class ESDFField:
         c, f, _ = self._lattice(pts.reshape(-1, 3))
         val = self._value(c, f, 1 - f)
         return float(val[0]) if pts.ndim == 1 else val
-
-    def gradient_at(self, p) -> np.ndarray:
-        """Spatial gradient of the interpolated distance, zero along any axis
-        where the query was clamped outside the grid (consistent with the
-        clamped value function).
-        """
-        pts = np.asarray(p, dtype=np.float64)
-        c, f, u = self._lattice(pts.reshape(-1, 3))
-        grad = self._gradient(c, f, 1 - f, u)
-        return grad[0] if pts.ndim == 1 else grad
 
     def distance_and_gradient(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Value and gradient in one pass (one corner gather)."""

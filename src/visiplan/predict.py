@@ -137,19 +137,16 @@ def predict_track(model: PredictionModel, times) -> TargetTrack:
     if t_sat is None and t_max > horizon_end:
         t_sat = horizon_end
 
-    out = np.zeros((times.size, 3))
-    if t_sat is None:
-        for i, t in enumerate(times):
-            out[i] = model.position(float(t))
-    else:
+    if t_sat is not None:
         p_sat = model.position(t_sat)
         v_sat = model.velocity(t_sat)
         speed = np.linalg.norm(v_sat)
         if speed > model.v_max:
             v_sat = v_sat / speed * model.v_max
-        for i, t in enumerate(times):
-            if t <= t_sat:
-                out[i] = model.position(float(t))
-            else:
-                out[i] = p_sat + v_sat * (t - t_sat)
+    out = np.zeros((times.size, 3))
+    for i, t in enumerate(times):
+        if t_sat is None or t <= t_sat:
+            out[i] = model.position(float(t))
+        else:
+            out[i] = p_sat + v_sat * (t - t_sat)
     return TargetTrack(out)

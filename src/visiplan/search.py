@@ -54,11 +54,6 @@ class SearchConfig:
     # extra cost per primitive at full acceleration, as a fraction of tau;
     # keeps equal-duration paths ordered by control effort
     effort_weight: float = 0.1
-    # steer toward the follow-behind point of the goal annulus (the annulus
-    # point on the start-to-target line). Faster and yields natural chase
-    # geometry, but foregoes the admissible lower bound; disable for
-    # optimality comparisons at heuristic_weight 1.
-    guided: bool = True
     # reject successors that lose the line of sight to the target; the
     # visibility-blind baseline turns this off
     occlusion_check: bool = True
@@ -387,33 +382,24 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
         return abs(gap - standoff) <= GOAL_TOLERANCE
 
+    # steer toward the follow-behind point of the goal annulus (the annulus
+    # point on the start-to-target line). Faster and yields natural chase
+    # geometry, but foregoes the admissible lower bound.
     # px, py, pz below are read by the heuristic's closure: never rebind them
-    if cfg.guided:
-        away = p0 - goal_center
-        gap0 = np.linalg.norm(away)
-        away = away / gap0 if gap0 > 1e-9 else np.array([1.0, 0.0, 0.0])
-        px, py, pz = (float(v) for v in goal_center + standoff * away)
+    away = p0 - goal_center
+    gap0 = np.linalg.norm(away)
+    away = away / gap0 if gap0 > 1e-9 else np.array([1.0, 0.0, 0.0])
+    px, py, pz = (float(v) for v in goal_center + standoff * away)
 
-        def heuristic(p, v, t) -> float:
-            rx, ry, rz = px - p[0], py - p[1], pz - p[2]
-            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
-            if dist <= 0.0:
-                return max(horizon - t, 0.0)
-            toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / (dist + GOAL_TOLERANCE), 0.0)
-            return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
-                       horizon - t)
-    else:
-        def heuristic(p, v, t) -> float:
-            rx, ry, rz = gx - p[0], gy - p[1], gz - p[2]
-            gap = math.sqrt(rx * rx + ry * ry + rz * rz)
-            dist = abs(gap - standoff) - GOAL_TOLERANCE
-            if dist <= 0.0:
-                return max(horizon - t, 0.0)
-            toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / max(gap, 1e-9), 0.0)
-            return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
-                       horizon - t)
+    def heuristic(p, v, t) -> float:
+        rx, ry, rz = px - p[0], py - p[1], pz - p[2]
+        dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
+        if dist <= 0.0:
+            return max(horizon - t, 0.0)
+        toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
+                     / (dist + GOAL_TOLERANCE), 0.0)
+        return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
+                   horizon - t)
 
     c0 = np.asarray(target_at(0.0), dtype=np.float64)
     u0 = p0 - c0

@@ -433,7 +433,7 @@ _SCENARIO = (
     # by the start state
     _Row("num_control_points", _number(int, above=3), 33),
     _Row("predict", _section(_Row("degree", _number(int, least=0), 3),
-                             _Row("ridge", _number(), 1e-4),
+                             _Row("ridge", _NONNEGATIVE, 1e-4),
                              _Row("window", _NONNEGATIVE, 2.0),
                              _Row("v_max", _NONNEGATIVE, 2.5)), {}),
     _Row("limits", _config(DynamicLimits), {}),

@@ -6,7 +6,7 @@ angle) so stencils and squared differences stay continuous; wrap to
 (-pi, pi] only when presenting angles externally.
 
 Index convention: the 1-based knot-point index k in 1..N-2 maps to 0-based
-control points (k-1, k, k+1). evaluate(m * dt) equals waypoint(m + 1).
+control points (k-1, k, k+1). evaluate(m * dt) equals row m of waypoints().
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def wrap_angle(a):
     return float(w) if np.isscalar(a) else w
 
 
-def unwrap_angles(angles) -> np.ndarray:
-    """Unwrap a sequence of angles so consecutive values differ by < pi."""
-    return np.unwrap(np.asarray(angles, dtype=np.float64))
-
-
 @dataclass
 class RobotState:
     """Flat-output state used to pin trajectory boundary conditions."""
@@ -56,30 +51,20 @@ class RobotState:
 
 
 @dataclass
-class Waypoint:
-    p: np.ndarray
-    psi: float
-    index: int
-
-
-@dataclass
 class TrajectoryBSpline:
     dt: float
     q: np.ndarray = field(repr=False)      # (N, 3) position control points
     phi: np.ndarray = field(repr=False)    # (N,) yaw control points, unwrapped
-    degree: int = 3
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
         self.phi = np.asarray(self.phi, dtype=np.float64)
-        if self.degree != 3:
-            raise ValueError("only cubic splines are supported")
         if self.q.ndim != 2 or self.q.shape[1] != 3:
             raise ValueError("q must be (N, 3)")
         if self.phi.shape != (self.q.shape[0],):
             raise ValueError("phi must align with q")
         if self.num_control_points < 4:
-            raise ValueError("need at least degree+1 control points")
+            raise ValueError("need at least 4 control points")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -95,16 +80,6 @@ class TrajectoryBSpline:
 
     # --- knot points ---------------------------------------------------------
 
-    def waypoint(self, k: int) -> Waypoint:
-        """Knot-point value for 1-based index k in 1..N-2."""
-        n = self.num_control_points
-        if not 1 <= k <= n - 2:
-            raise IndexError(f"waypoint index {k} outside 1..{n - 2}")
-        i = k - 1
-        p = (self.q[i] + 4.0 * self.q[i + 1] + self.q[i + 2]) / 6.0
-        psi = (self.phi[i] + 4.0 * self.phi[i + 1] + self.phi[i + 2]) / 6.0
-        return Waypoint(p, float(psi), k)
-
     def waypoints(self) -> tuple[np.ndarray, np.ndarray]:
         """All knot points at once: positions (N-2, 3) and yaws (N-2,),
         row r holding waypoint index k = r + 1.
@@ -113,17 +88,6 @@ class TrajectoryBSpline:
         p = (q[:-2] + 4.0 * q[1:-1] + q[2:]) / 6.0
         psi = (phi[:-2] + 4.0 * phi[1:-1] + phi[2:]) / 6.0
         return p, psi
-
-    # --- derivative control points -------------------------------------------
-
-    def derivative_control_points(self, order: int) -> np.ndarray:
-        """Position derivative control points: order 1 -> V (N-1, 3),
-        2 -> A (N-2, 3), 3 -> J (N-3, 3).
-        """
-        return _difference_stencil(self.q, self.dt, order)
-
-    def yaw_derivative_control_points(self, order: int) -> np.ndarray:
-        return _difference_stencil(self.phi, self.dt, order)
 
     # --- evaluation ------------------------------------------------------------
 
@@ -160,17 +124,6 @@ class TrajectoryBSpline:
         v, dpsi = self.evaluate_derivative(t, 1)
         a, _ = self.evaluate_derivative(t, 2)
         return RobotState(p, v, a, psi, dpsi)
-
-
-def _difference_stencil(ctrl: np.ndarray, dt: float, order: int) -> np.ndarray:
-    if not 1 <= order <= 3:
-        raise ValueError("derivative order must be 1..3")
-    if ctrl.shape[0] - order < 1:
-        raise ValueError("too few control points for requested order")
-    out = ctrl
-    for _ in range(order):
-        out = np.diff(out, axis=0) / dt
-    return out
 
 
 def boundary_control_points(state: RobotState, dt: float):
@@ -277,7 +230,7 @@ def initialize_from_path(path_points, path_times, state: RobotState, dt: float,
     else:
         yaw_targets = np.asarray(yaw_targets, dtype=np.float64)
         # keep the fit continuous with the current yaw
-        yaw_fit = unwrap_angles(np.concatenate([[state.yaw], yaw_targets]))[1:]
+        yaw_fit = np.unwrap(np.concatenate([[state.yaw], yaw_targets]))[1:]
         yaw_guess = np.interp(knot_t, times, yaw_fit)
         resid_phi = yaw_fit - B_fix @ phi_fix
         phi_free = np.linalg.solve(lhs,

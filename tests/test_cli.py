@@ -83,8 +83,9 @@ class TestRunCommand:
         ("search", "max_expansions", 10.5, "max_expansions"),
         ("search", "max_expansions", True, "max_expansions"),
         ("params", "m_balls", 2.5, "m_balls"),
-        ("search", "guided", "no", "guided"),
+        ("search", "occlusion_check", "no", "occlusion_check"),
         # deleted settings are unknown fields
+        ("search", "guided", True, "search.guided"),
         ("optimizer", "wall_clock_budget", None,
          "optimizer.wall_clock_budget"),
         ("search", "standoff", 3.0, "search.standoff"),
@@ -169,6 +170,10 @@ class TestRunCommand:
         ("forest", "map.generator.count", 2.5, "map.generator.count"),
         ("forest", "map.generator.resolution", 0, "map.generator.resolution"),
         ("forest", "target.random.speed", 0, "target.random.speed"),
+        # a string or boolean grid resolution, a negative ridge
+        ("mini", "map.resolution", "0.1", "map.resolution"),
+        ("mini", "map.resolution", True, "map.resolution"),
+        ("mini", "predict.ridge", -1.0, "predict.ridge"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -254,6 +259,26 @@ class TestBenchCommand:
         code = main(["bench", "--scenario", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "b"), "--seeds", "1,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("seeds, threads, named, bad", [
+        ("1,x", None, "--seeds", "'x'"),
+        ("1.5", None, "--seeds", "'1.5'"),
+        ("1", "abc", "VISIPLAN_THREADS", "'abc'"),
+    ])
+    def test_malformed_seeds_or_threads_exit_2(self, mini_path, tmp_path,
+                                               capsys, monkeypatch, seeds,
+                                               threads, named, bad):
+        if threads is None:
+            monkeypatch.delenv("VISIPLAN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("VISIPLAN_THREADS", threads)
+        out = tmp_path / "bench"
+        code = main(["bench", "--scenario", mini_path, "--out", str(out),
+                     "--seeds", seeds])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("visiplan:") and named in err and bad in err
+        assert not out.exists()
 
 
 def test_runtime_imports_no_scipy(tmp_path):

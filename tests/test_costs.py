@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from visiplan.costs import (CostWeights, DegenerateGeometryError,
-                            DynamicLimits, TargetTrack, VisibilityParams,
-                            best_yaw, cost_ao, cost_collision, cost_do,
-                            cost_feasibility, cost_oe, cost_safe_tracking,
-                            cost_smoothness, cost_yaw_feasibility,
-                            cost_yaw_smoothness, penalty, penalty_derivative,
-                            total_cost)
+from visiplan.costs import (CostWeights, DynamicLimits, TargetTrack,
+                            VisibilityParams, _best_yaw_array, cost_ao,
+                            cost_collision, cost_do, cost_feasibility,
+                            cost_oe, cost_safe_tracking, cost_smoothness,
+                            cost_yaw_feasibility, cost_yaw_smoothness,
+                            penalty, penalty_derivative, total_cost)
 from visiplan.env import OccupancyGrid, build_esdf
 from visiplan.spline import TrajectoryBSpline
 
@@ -90,14 +89,17 @@ class TestPenalty:
 class TestBestYaw:
     def test_axes(self):
         # default orientation: sensor looks from p toward c
-        assert best_yaw([1, 0, 0], [0, 0, 0]) == pytest.approx(np.pi)
-        assert best_yaw([0, 0, 0], [1, 0, 0]) == pytest.approx(0.0)
-        assert best_yaw([0, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
-        assert best_yaw([0, 0, 0], [1, 1, 0]) == pytest.approx(np.pi / 4)
+        p = np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        c = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        psi, ok = _best_yaw_array(p, c)
+        assert np.allclose(psi, [np.pi, 0.0, np.pi / 2, np.pi / 4])
+        assert ok.all()
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateGeometryError):
-            best_yaw([0, 0, 1.0], [0, 0, 0])
+        p = np.array([[0, 0, 1.0], [0, 0, 0]])
+        c = np.array([[0.0, 0, 0], [1, 0, 0]])
+        _, ok = _best_yaw_array(p, c)
+        assert ok.tolist() == [False, True]
 
 
 class TestCostDO:

@@ -82,6 +82,7 @@ class TestOccupancyGrid:
         (0.1, (3, 3, 1), ("a", 0, 0), "origin"),
         ("x", (3, 3, 1), (0, 0, 0), "resolution"),
         (np.inf, (3, 3, 1), (0, 0, 0), "resolution"),
+        (True, (3, 3, 1), (0, 0, 0), "resolution"),
     ])
     def test_malformed_grid_names_field(self, resolution, dims, origin,
                                         named):
@@ -102,6 +103,17 @@ class TestOccupancyGrid:
         with pytest.raises(GridError) as info:
             OccupancyGrid.from_json_dict(d)
         assert info.value.field == key
+
+    @pytest.mark.parametrize("resolution", ["0.5", True])
+    def test_grid_file_resolution_must_be_a_number(self, tmp_path,
+                                                   resolution):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"resolution": resolution,
+                                    "origin": [0, 0, 0], "dims": [4, 4, 1],
+                                    "occupied": [[1, 1, 0]]}))
+        with pytest.raises(GridError, match="resolution") as info:
+            load_grid(path)
+        assert info.value.field == "resolution"
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -232,7 +244,7 @@ class TestSampling:
         corner = grid.origin + (np.asarray(grid.dims) - 0.5) * 0.1
         assert field.distance_at(far) == pytest.approx(
             field.distance_at(corner), abs=1e-12)
-        assert np.allclose(field.gradient_at(far), 0.0)
+        assert np.allclose(field.distance_and_gradient(far)[1], 0.0)
 
 
 class TestGradient:
@@ -241,14 +253,15 @@ class TestGradient:
         field = build_esdf(grid, 5.0)
         rng = np.random.default_rng(1)
         p = rng.uniform(grid.world_min(), grid.world_max())
-        assert np.allclose(field.gradient_at(p), 0.0)
+        assert np.allclose(field.distance_and_gradient(p)[1], 0.0)
 
     def test_linear_field(self):
         grid = OccupancyGrid.empty(0.5, (8, 4, 4))
         centers_x = (np.arange(8) + 0.5) * 0.5
         field = ESDFField(grid, np.tile(centers_x[:, None, None], (1, 4, 4)), 10.0)
         p = np.array([1.7, 0.9, 1.1])
-        assert np.allclose(field.gradient_at(p), [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(field.distance_and_gradient(p)[1],
+                           [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -258,7 +271,7 @@ class TestGradient:
             field = build_esdf(grid, 2.0)
             for _ in range(10):
                 p = interior_point(rng, field, margin=10 * h)
-                grad = field.gradient_at(p)
+                grad = field.distance_and_gradient(p)[1][0]
                 fd = np.zeros(3)
                 for ax in range(3):
                     e = np.zeros(3)
@@ -276,4 +289,4 @@ class TestGradient:
         field = build_esdf(grid, 2.0)
         for _ in range(20):
             p = rng.uniform(grid.world_min(), grid.world_max())
-            assert field.gradient_at(p)[2] == 0.0
+            assert field.distance_and_gradient(p)[1][0, 2] == 0.0

@@ -579,13 +579,11 @@ def test_esdf_queries_match_reference(data):
     val, grad = reference_distance_and_gradient(field, pts)
 
     assert same_bits(field.distance_at(pts), val)
-    assert same_bits(field.gradient_at(pts), grad)
     v, g = field.distance_and_gradient(pts)
     assert same_bits(v, val) and same_bits(g, grad)
 
     scalar = field.distance_at(pts[0])
     assert type(scalar) is float and same_bits(scalar, val[0])
-    assert same_bits(field.gradient_at(pts[0]), grad[0])
     v, g = field.distance_and_gradient(pts[0])
     assert same_bits(v, val[:1]) and same_bits(g, grad[:1])
 

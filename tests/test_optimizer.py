@@ -52,7 +52,7 @@ class TestOptimize:
         cfg = OptimizerConfig(max_iterations=400, gradient_tolerance=1e-10,
                               relative_cost_tolerance=1e-16)
         res = optimize(traj, track, field, PARAMS, w, LIMITS, cfg)
-        assert res.final_report.smoothness <= 1e-8
+        assert res.final_report.terms["smoothness"] <= 1e-8
 
     def test_open_space_joint_optimum(self):
         # start in the distance band facing the target; the free control

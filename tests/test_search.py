@@ -1,13 +1,10 @@
-import heapq
-
 import numpy as np
 import pytest
 
 from visiplan.costs import DynamicLimits
 from visiplan.env import OccupancyGrid, build_esdf
-from visiplan.search import (ACCEL_FRACTIONS, GOAL_TOLERANCE,
-                             TRACKING_WEIGHT, InvalidStart, SearchConfig,
-                             SearchExhausted, raycast_occluded, search)
+from visiplan.search import (InvalidStart, SearchConfig, SearchExhausted,
+                             raycast_occluded, search)
 from visiplan.spline import RobotState
 
 LIMITS = DynamicLimits(v_m=2.0, a_m=3.0, v_phi_m=2.0, a_phi_m=4.0,
@@ -83,68 +80,6 @@ class TestRaycast:
         assert not raycast_occluded(grid, [-5.0, -5.0, 0.2], [-1.0, -5.0, 0.2])
 
 
-def exhaustive_lattice_search(start_state, target_at, grid, esdf, limits,
-                              cfg, horizon, standoff):
-    """Uniform-cost search over the same primitive lattice (no heuristic,
-    no pruning shortcuts): optimal occlusion-free cost to reach the standoff
-    annulus at or after the horizon, or None."""
-    tau = cfg.tau
-    accels = [np.array([ax, ay, 0.0]) * limits.a_m
-              for ax in ACCEL_FRACTIONS for ay in ACCEL_FRACTIONS]
-    clearance = limits.d_thr / 2.0
-    goal_center = np.asarray(target_at(horizon), float)
-    p_start = np.asarray(start_state.p, float)
-    u0 = p_start - np.asarray(target_at(0.0), float)
-    u0 = u0 / np.linalg.norm(u0) if np.linalg.norm(u0) > 1e-9 \
-        else np.array([1.0, 0.0, 0.0])
-
-    def key(p, v, t):
-        vq = max(limits.a_m * tau, 1e-6)
-        return (round(p[0] / cfg.prune_resolution),
-                round(p[1] / cfg.prune_resolution),
-                round(p[2] / cfg.prune_resolution),
-                round(v[0] / vq), round(v[1] / vq), round(v[2] / vq),
-                round(t / tau))
-
-    start = (np.asarray(start_state.p, float), np.asarray(start_state.v, float))
-    heap = [(0.0, 0.0, 0, start[0].tolist(), start[1].tolist())]
-    seen = {key(start[0], start[1], 0.0): 0.0}
-    counter = 0
-    while heap:
-        g, t, _, p_list, v_list = heapq.heappop(heap)
-        p, v = np.array(p_list), np.array(v_list)
-        if t >= horizon - 1e-9 and \
-                abs(np.linalg.norm(p - goal_center) - standoff) \
-                <= GOAL_TOLERANCE:
-            return g
-        if t + tau > cfg.horizon_slack * horizon:
-            continue
-        c_next = np.asarray(target_at(t + tau), float)
-        for acc in accels:
-            v_new = v + acc * tau
-            if v_new @ v_new > limits.v_m ** 2:
-                continue
-            p_new = p + v * tau + 0.5 * acc * tau * tau
-            ref = np.asarray(target_at(t + tau), float) + standoff * u0
-            g_new = g + tau * (1.0 + cfg.effort_weight
-                               * float(acc @ acc) / limits.a_m ** 2) \
-                + TRACKING_WEIGHT * tau * float(np.linalg.norm(p_new - ref))
-            seg = p[None, :] + np.outer(np.linspace(0, 1, 5) * tau, v) \
-                + np.outer(0.5 * (np.linspace(0, 1, 5) * tau) ** 2, acc)
-            if np.min(esdf.distance_at(seg)) <= clearance:
-                continue
-            if raycast_occluded(grid, p_new, c_next):
-                continue
-            k = key(p_new, v_new, t + tau)
-            if k in seen and seen[k] <= g_new:
-                continue
-            seen[k] = g_new
-            counter += 1
-            heapq.heappush(heap, (g_new, t + tau, counter, p_new.tolist(),
-                                  v_new.tolist()))
-    return None
-
-
 class TestSearch:
     def test_empty_map_static_target(self):
         grid = OccupancyGrid.empty(0.25, (48, 48, 1))
@@ -191,35 +126,6 @@ class TestSearch:
             visible = not raycast_occluded(grid, p, target)
             assert visible or not seen      # sight never lost once acquired
             seen = seen or visible
-
-    def test_matches_exhaustive_cost(self):
-        # small static instance, admissible annulus heuristic at weight 1:
-        # the returned path cost must match the lattice optimum
-        grid = wall_map(gap_lo=3.0, gap_hi=10.0)
-        esdf = build_esdf(grid, 5.0)
-        start = RobotState.at_rest([3.0, 5.0, 0.125], 0.0)
-        target = np.array([7.5, 5.0, 0.125])
-        cfg = SearchConfig(max_expansions=120000, horizon_slack=4.0,
-                           heuristic_weight=1.0, guided=False)
-        pts, times = search(start, lambda t: target, grid, esdf, LIMITS, cfg,
-                            horizon=2.0, standoff=2.0)
-        optimal = exhaustive_lattice_search(
-            start, lambda t: target, grid, esdf, LIMITS, cfg,
-            horizon=2.0, standoff=2.0)
-        assert optimal is not None
-        # reconstruct the returned path's cost from consecutive states
-        u0 = (start.p - target) / np.linalg.norm(start.p - target)
-        g, v = 0.0, np.asarray(start.v, float)
-        for i in range(len(times) - 1):
-            dt = times[i + 1] - times[i]
-            a = 2 * (pts[i + 1] - pts[i] - v * dt) / dt ** 2
-            v = v + a * dt
-            ref = target + 2.0 * u0
-            g += dt * (1.0 + cfg.effort_weight * float(a @ a)
-                       / LIMITS.a_m ** 2) \
-                + TRACKING_WEIGHT * dt * float(
-                    np.linalg.norm(pts[i + 1] - ref))
-        assert g <= optimal + 1e-6
 
     def test_invalid_start(self):
         grid = OccupancyGrid.empty(0.25, (20, 20, 1))

@@ -2,7 +2,8 @@
 
 `reference_search` is the search as it was before successors moved to
 Python floats and before the line-of-sight and clearance certificates, kept
-verbatim (only renamed, with its own node record). The lean search must
+verbatim (only renamed, with its own node record, and without the unguided
+heuristic the search no longer has). The lean search must
 return the same bits, expand the same nodes in the same order, and fail with
 the same exception type, with the occlusion check on and off, from sighted
 and unsighted starts, and under budgets that run out.
@@ -109,32 +110,20 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
         gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
         return abs(gap - standoff) <= GOAL_TOLERANCE
 
-    if cfg.guided:
-        away = p0 - goal_center
-        gap0 = np.linalg.norm(away)
-        away = away / gap0 if gap0 > 1e-9 else np.array([1.0, 0.0, 0.0])
-        px, py, pz = (float(v) for v in goal_center + standoff * away)
+    away = p0 - goal_center
+    gap0 = np.linalg.norm(away)
+    away = away / gap0 if gap0 > 1e-9 else np.array([1.0, 0.0, 0.0])
+    px, py, pz = (float(v) for v in goal_center + standoff * away)
 
-        def heuristic(p, v, t) -> float:
-            rx, ry, rz = px - p[0], py - p[1], pz - p[2]
-            dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
-            if dist <= 0.0:
-                return max(horizon - t, 0.0)
-            toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / (dist + GOAL_TOLERANCE), 0.0)
-            return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
-                       horizon - t)
-    else:
-        def heuristic(p, v, t) -> float:
-            rx, ry, rz = gx - p[0], gy - p[1], gz - p[2]
-            gap = math.sqrt(rx * rx + ry * ry + rz * rz)
-            dist = abs(gap - standoff) - GOAL_TOLERANCE
-            if dist <= 0.0:
-                return max(horizon - t, 0.0)
-            toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
-                         / max(gap, 1e-9), 0.0)
-            return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
-                       horizon - t)
+    def heuristic(p, v, t) -> float:
+        rx, ry, rz = px - p[0], py - p[1], pz - p[2]
+        dist = math.sqrt(rx * rx + ry * ry + rz * rz) - GOAL_TOLERANCE
+        if dist <= 0.0:
+            return max(horizon - t, 0.0)
+        toward = max((v[0] * rx + v[1] * ry + v[2] * rz)
+                     / (dist + GOAL_TOLERANCE), 0.0)
+        return max(hw * _bang_bang_time(dist, toward, limits.v_m, a_cap),
+                   horizon - t)
 
     c0 = np.asarray(target_at(0.0), dtype=np.float64)
     u0 = p0 - c0
@@ -328,7 +317,7 @@ def scenes(draw, planar: bool, sight: str):
         max_expansions=draw(st.sampled_from([15, 80, 400])),
         horizon_slack=1.5,
         heuristic_weight=draw(st.sampled_from([1.0, 2.5])),
-        effort_weight=0.25, guided=draw(st.booleans()))
+        effort_weight=0.25)
     return (grid, build_esdf(grid, draw(st.sampled_from([1.0, 5.0]))),
             start, target_at, cfg, draw(st.sampled_from([1.0, 2.0, 3.0])),
             draw(st.sampled_from([1.5, 2.5])))

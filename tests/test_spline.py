@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import BSpline as SciSpline
 
 from visiplan.spline import (RobotState, TrajectoryBSpline,
-                             initialize_from_path, unwrap_angles, wrap_angle)
+                             initialize_from_path, wrap_angle)
 
 
 def deboor_curve(ctrl: np.ndarray, dt: float):
@@ -23,65 +23,19 @@ class TestWaypoint:
     def test_constant_polygon(self):
         q = np.tile([2.0, 3.0, 1.0], (5, 1))
         traj = TrajectoryBSpline(0.5, q, np.zeros(5))
-        for k in range(1, 4):
-            assert np.allclose(traj.waypoint(k).p, [2.0, 3.0, 1.0])
+        p, _ = traj.waypoints()
+        assert p.shape == (3, 3)
+        assert np.allclose(p, [2.0, 3.0, 1.0])
 
     def test_affine_precision(self):
         q = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         traj = TrajectoryBSpline(1.0, q, np.zeros(4))
-        assert np.allclose(traj.waypoint(1).p, [1.0, 0, 0])
+        assert np.allclose(traj.waypoints()[0][0], [1.0, 0, 0])
 
     def test_stencil_arithmetic(self):
         q = np.array([[0.0, 0, 0], [0.0, 0, 0], [6.0, 0, 0], [0.0, 0, 0]])
         traj = TrajectoryBSpline(1.0, q, np.zeros(4))
-        assert np.allclose(traj.waypoint(1).p, [1.0, 0, 0])
-
-    def test_range_checked(self):
-        traj = random_traj(np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            traj.waypoint(0)
-        with pytest.raises(IndexError):
-            traj.waypoint(traj.num_control_points - 1)
-
-    def test_waypoints_match_scalar(self):
-        traj = random_traj(np.random.default_rng(1))
-        p_all, psi_all = traj.waypoints()
-        for k in range(1, traj.num_control_points - 1):
-            wp = traj.waypoint(k)
-            assert np.allclose(p_all[k - 1], wp.p)
-            assert psi_all[k - 1] == pytest.approx(wp.psi)
-
-
-class TestDerivativeControlPoints:
-    def test_direct_stencil(self):
-        q = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
-        traj = TrajectoryBSpline(0.5, q, np.zeros(4))
-        v = traj.derivative_control_points(1)
-        assert np.allclose(v, [[2.0, 0, 0]] * 3)
-
-    def test_constant_velocity_zero_accel(self):
-        q = np.outer(np.arange(6), [1.0, -2.0, 0.5])
-        traj = TrajectoryBSpline(0.25, q, np.zeros(6))
-        assert np.allclose(traj.derivative_control_points(2), 0.0)
-
-    def test_counts(self):
-        traj = random_traj(np.random.default_rng(2), n=9)
-        assert traj.derivative_control_points(1).shape == (8, 3)
-        assert traj.derivative_control_points(2).shape == (7, 3)
-        assert traj.derivative_control_points(3).shape == (6, 3)
-        assert traj.yaw_derivative_control_points(1).shape == (8,)
-
-    def test_derivative_spline_matches_deboor(self):
-        rng = np.random.default_rng(3)
-        traj = random_traj(rng, n=10, dt=0.4)
-        v_ctrl = traj.derivative_control_points(1)
-        # the velocity curve is the degree-2 spline on V; compare against the
-        # derivative of the scipy cubic at the knots
-        spl = deboor_curve(traj.q, traj.dt).derivative(1)
-        for m in range(traj.num_control_points - 3):
-            t = m * traj.dt
-            knot_value = 0.5 * (v_ctrl[m] + v_ctrl[m + 1])
-            assert np.allclose(spl(t), knot_value, atol=1e-9)
+        assert np.allclose(traj.waypoints()[0][0], [1.0, 0, 0])
 
 
 class TestEvaluate:
@@ -95,12 +49,12 @@ class TestEvaluate:
 
     def test_knot_identity(self):
         traj = random_traj(np.random.default_rng(4), n=9, dt=0.3)
+        wp_p, wp_psi = traj.waypoints()
         for m in range(traj.num_control_points - 3 + 1):
             t = min(m * traj.dt, traj.duration())
             p, psi = traj.evaluate(t)
-            wp = traj.waypoint(m + 1)
-            assert np.allclose(p, wp.p, atol=1e-12)
-            assert psi == pytest.approx(wp.psi, abs=1e-12)
+            assert np.allclose(p, wp_p[m], atol=1e-12)
+            assert psi == pytest.approx(wp_psi[m], abs=1e-12)
 
     def test_matches_deboor(self):
         rng = np.random.default_rng(5)
@@ -188,12 +142,6 @@ class TestWrap:
         assert wrap_angle(-np.pi) == pytest.approx(np.pi)
         assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
         assert wrap_angle(0.25) == pytest.approx(0.25)
-
-    def test_unwrap(self):
-        raw = [0.0, 3.0, -3.0, 3.1, -3.1]
-        un = unwrap_angles(raw)
-        assert np.all(np.abs(np.diff(un)) < np.pi)
-        assert np.allclose(np.mod(un - raw, 2 * np.pi), 0.0, atol=1e-12)
 
 
 class TestInitializeFromPath:
