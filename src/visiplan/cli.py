@@ -113,11 +113,14 @@ def cmd_bench(args) -> int:
         return 2
     modes = ["visibility", "baseline"] if args.modes == "both" else [args.modes]
     outdir = Path(args.out)
+    jobs = [(args.scenario, seed, mode, str(outdir / f"seed{seed}_{mode}"))
+            for seed in seeds for mode in modes]
     try:
+        # every run loads before the first flies, so that a malformed seed
+        # or template writes nothing
+        for path, seed, mode, _ in jobs:
+            load_scenario(path, mode=mode, seed=seed)
         outdir.mkdir(parents=True, exist_ok=True)
-        jobs = [(args.scenario, seed, mode,
-                 str(outdir / f"seed{seed}_{mode}"))
-                for seed in seeds for mode in modes]
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_worker, jobs))

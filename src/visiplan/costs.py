@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .env import ESDFField, require_valid_fields
+from .env import ESDFField, FieldError, require_valid_fields
 from .spline import TrajectoryBSpline, wrap_angle
 
 DEGENERATE_EPS = 1e-6      # min horizontal robot-target distance for yaw terms
@@ -32,10 +32,9 @@ class VisibilityParams:
 
     def __post_init__(self):
         require_valid_fields(self)
-        if not 0 < self.od_min < self.od_max:
-            raise ValueError("need 0 < od_min < od_max")
-        if self.rho <= 0 or self.m_balls < 1:
-            raise ValueError("rho must be positive and m_balls >= 1")
+        if not self.od_min < self.od_max:
+            raise FieldError(f"od_max must exceed od_min {self.od_min!r}, "
+                             f"got {self.od_max!r}", "od_max")
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,7 @@ class CostWeights:
     w_v: float = 2.0
 
     def __post_init__(self):
-        require_valid_fields(self)
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+        require_valid_fields(self, nonnegative={f.name for f in fields(self)})
 
     def baseline(self) -> "CostWeights":
         """Visibility-blind variant: DO/AO/OE/safe-tracking zeroed."""
@@ -72,9 +68,6 @@ class DynamicLimits:
 
     def __post_init__(self):
         require_valid_fields(self)
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass

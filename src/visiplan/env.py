@@ -22,13 +22,17 @@ from pathlib import Path
 import numpy as np
 
 
-class GridError(ValueError):
-    """Malformed grid description or file; `field` names the offending grid
-    field (resolution, origin, dims, occupied) when there is one."""
+class FieldError(ValueError):
+    """A value that does not fit its field, named by `field` when known."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class GridError(FieldError):
+    """Malformed grid description or file; `field` names the grid field
+    (resolution, origin, dims, occupied) when there is one."""
 
 
 @dataclass
@@ -128,7 +132,7 @@ class OccupancyGrid:
     def from_json_dict(cls, d: dict) -> "OccupancyGrid":
         for key in ("resolution", "origin", "dims", "occupied"):
             if key not in d:
-                raise GridError(f"grid JSON missing field '{key}'")
+                raise GridError(f"grid JSON missing field '{key}'", key)
         dims = tuple(int(n) for n in finite_array(
             d["dims"], (3,), "dims", "3 integers >= 1", integral=True))
         grid = cls.empty(d["resolution"], dims, d["origin"])
@@ -199,37 +203,46 @@ def is_number(value, kind) -> bool:
     return math.isfinite(x) and (kind is not int or x.is_integer())
 
 
-def require_valid_fields(config) -> None:
-    """ValueError naming the first field of the config dataclass `config`
+def require_valid_fields(config, nonnegative=()) -> None:
+    """FieldError naming the first field of the config dataclass `config`
     whose value does not fit its annotation: a `bool` field holds True or
-    False, an `int` field an integral number and a `float` field a finite
-    one."""
+    False, an `int` field a positive integral number and a `float` field a
+    finite positive one, where a field named in `nonnegative` may be 0."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "bool":
-            if not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, "
-                                 f"got {value!r}")
-        elif not is_number(value, int if f.type == "int" else float):
-            what = "an integer" if f.type == "int" else "a finite number"
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            what, ok = "true or false", isinstance(value, bool)
+        else:
+            sign = "nonnegative" if f.name in nonnegative else "positive"
+            what = f"a {sign} integer" if f.type == "int" \
+                else f"a finite {sign} number"
+            ok = is_number(value, int if f.type == "int" else float) and (
+                value >= 0 if f.name in nonnegative else value > 0)
+        if not ok:
+            raise FieldError(f"{f.name} must be {what}, got {value!r}",
+                             f.name)
 
 
 def load_grid(path, resolution: float | None = None,
-              origin=(0.0, 0.0, 0.0)) -> OccupancyGrid:
-    """Load a grid from JSON (self-describing) or ASCII raster (needs a
-    caller-supplied resolution).
-    """
+              origin=None) -> OccupancyGrid:
+    """Load a grid from JSON, which sets its own resolution and origin, or
+    from an ASCII raster, which needs a `resolution` (origin default 0); a
+    FieldError that is no GridError names an argument the file refuses."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
+        for name, value in (("resolution", resolution), ("origin", origin)):
+            if value is not None:
+                raise FieldError(f"the JSON grid {path} sets its own {name}, "
+                                 f"got {value!r}", name)
         try:
             return OccupancyGrid.from_json_dict(json.loads(text))
         except json.JSONDecodeError as e:
             raise GridError(f"malformed grid JSON in {path}: {e}") from e
     if resolution is None:
-        raise GridError(f"ASCII grid {path} requires an explicit resolution")
-    return OccupancyGrid.from_ascii(text, resolution, origin)
+        raise FieldError(f"the ASCII grid {path} needs a resolution",
+                         "resolution")
+    return OccupancyGrid.from_ascii(
+        text, resolution, (0.0, 0.0, 0.0) if origin is None else origin)
 
 
 @dataclass

@@ -44,10 +44,6 @@ class OptimizerConfig:
 
     def __post_init__(self):
         require_valid_fields(self)
-        for name in ("max_iterations", "gradient_tolerance",
-                     "relative_cost_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

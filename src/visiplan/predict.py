@@ -79,10 +79,6 @@ def fit(history: list[TargetObservation], degree: int = 3,
     times = np.array([o.t for o in obs])
     pts = np.stack([o.position for o in obs])
 
-    if len(obs) == 1:
-        coeffs = pts[:1].copy()
-        return PredictionModel(0, coeffs, t_last, horizon, v_max)
-
     deg = min(degree, len(obs) - 1)
     coeffs = _ridge_polyfit(times - t_last, pts, deg, ridge)
     if coeffs is None:       # rank-deficient even with the ridge
@@ -110,8 +106,6 @@ def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
 def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
     """First forecast time, on a `_SPEED_PROBE_DT` grid, at which fitted
     speed exceeds the bound."""
-    if model.degree == 0:
-        return None
     s = np.arange(0.0, t_end - model.t_ref + _SPEED_PROBE_DT, _SPEED_PROBE_DT)
     k = np.arange(1, model.degree + 1)
     dbasis = k[None, :] * s[:, None] ** (k - 1)[None, :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import DynamicLimits
-from .env import ESDFField, OccupancyGrid, require_valid_fields
+from .env import ESDFField, FieldError, OccupancyGrid, require_valid_fields
 
 
 class SearchError(RuntimeError):
@@ -59,9 +59,12 @@ class SearchConfig:
     occlusion_check: bool = True
 
     def __post_init__(self):
-        require_valid_fields(self)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        require_valid_fields(self, nonnegative=("heuristic_weight",
+                                                "effort_weight"))
+        # the goal lies at the horizon, so a path must be allowed to reach it
+        if not self.horizon_slack >= 1:
+            raise FieldError(f"horizon_slack must be at least 1, "
+                             f"got {self.horizon_slack!r}", "horizon_slack")
 
 
 @dataclass

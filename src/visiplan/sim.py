@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .costs import TERMS, CostWeights, DynamicLimits, VisibilityParams
-from .env import (ESDFField, GridError, OccupancyGrid, build_esdf,
-                  finite_array, is_number, load_grid)
+from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
+                  build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
 from .predict import HistoryBuffer, fit, predict_track
 from .search import (GOAL_TOLERANCE, SearchConfig, SearchError,
@@ -278,6 +278,17 @@ def _bad(name: str, what: str, value) -> ScenarioError:
                          f"got {value!r}")
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs) for a section that checks its own fields (a
+    config dataclass or a grid); a FieldError it raises becomes a
+    ScenarioError naming `section.field`."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as e:
+        name = f"{section}.{e.field}"
+        raise ScenarioError(f"scenario field '{name}': {e}") from e
+
+
 def _number(kind=float, above=None, least=None, below=None):
     """Kind: a finite number (integral for int) as a `kind`, greater than
     `above`, at least `least` and less than `below` where these are given."""
@@ -305,15 +316,6 @@ def _array(shape, what: str):
             return finite_array(value, shape, name, what)
         except GridError:
             raise _bad(name, what, value) from None
-    return parse
-
-
-def _choice(*options):
-    """Kind: one of `options`."""
-    def parse(value, name):
-        if value not in options:
-            raise _bad(name, " or ".join(map(repr, options)), value)
-        return value
     return parse
 
 
@@ -373,13 +375,10 @@ def _one_of(*kinds):
 
 def _config(cls, **defaults):
     """Kind: the config dataclass `cls` built over `defaults`; the class
-    checks its own fields, and its errors name the section."""
+    checks its own fields."""
     def parse(value, name):
         _object(value, name, {f.name for f in dataclasses.fields(cls)})
-        try:
-            return cls(**{**defaults, **value})
-        except (TypeError, ValueError) as e:
-            raise ScenarioError(f"scenario section '{name}': {e}") from e
+        return _checked(name, cls, **{**defaults, **value})
     return parse
 
 
@@ -389,12 +388,11 @@ _NONNEGATIVE = _number(least=0)
 _POINT = _array((3,), "a list of 3 numbers")
 _CONE_DEG = _number(above=0, below=180)     # a full FOV angle in degrees
 
-# the kinds of map and of target, each told by its first key; an inline
-# grid's fields are checked by the grid
+# the kinds of map and of target, each told by its first key; the grid
+# code checks an inline grid, and a grid file's resolution and origin
 _GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE, None),
-              _Row("origin", _POINT, (0.0, 0.0, 0.0)))
+              _Row("origin", _POINT, None))
 _FOREST = (_Row("generator", _section(
-    _Row("kind", _choice("forest"), "forest"),
     _Row("area", _array((2,), "a list of 2 positive numbers")),
     _Row("count", _number(int, least=0)),
     _Row("radius_range", _array((2,), "a list [low, high] with "
@@ -464,8 +462,8 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     if seed is not None:
         s.seed = _SEED(seed, "seed")
     start = RobotState.at_rest(s.robot_start.p, s.robot_start.yaw)
-    grid = _load_map(*s.map, base_dir, s.seed,
-                     keep_clear=(start.p, _target_start(*s.target)))
+    grid = _checked("map", _load_map, *s.map, base_dir, s.seed,
+                    keep_clear=(start.p, _target_start(*s.target)))
     esdf = build_esdf(grid, s.d_trunc)
     return Scenario(
         name=s.name,
@@ -496,16 +494,11 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
               keep_clear) -> OccupancyGrid:
     if kind is _GRID_FILE:
         try:
-            return load_grid(base_dir / m.file, resolution=m.resolution,
-                             origin=m.origin)
+            return load_grid(base_dir / m.file, m.resolution, m.origin)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
     if kind is _INLINE_GRID:
-        try:
-            return OccupancyGrid.from_json_dict(vars(m))
-        except GridError as e:
-            named = f"scenario field 'map.{e.field}': " if e.field else ""
-            raise ScenarioError(named + str(e)) from e
+        return OccupancyGrid.from_json_dict(vars(m))
     g = m.generator
     if any(round(float(a) / g.resolution) < 1 for a in g.area):
         raise ScenarioError("scenario field 'map.generator.area' must span "
@@ -530,7 +523,11 @@ def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
 def _load_target(kind, t: SimpleNamespace, esdf: ESDFField, seed: int,
                  duration: float) -> WaypointScript:
     if kind is _WAYPOINTS:
-        return WaypointScript(t.waypoints[:, 0], t.waypoints[:, 1:])
+        try:
+            return WaypointScript(t.waypoints[:, 0], t.waypoints[:, 1:])
+        except ScenarioError as e:
+            raise ScenarioError(
+                f"scenario field 'target.waypoints': {e}") from e
     if kind is _PATH:
         return WaypointScript.from_path(t.path, t.speed, t.start_hold)
     r = t.random

@@ -11,7 +11,7 @@ import pytest
 
 import visiplan
 from visiplan.cli import main
-from visiplan.sim import bundled_scenario
+from visiplan.sim import bundled_scenario, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,17 @@ class TestRunCommand:
         ("target", "bogus", 1.0, "target.bogus"),
         ("robot_start", "bogus", 1.0, "robot_start.bogus"),
         ("predict", "bogus", 1.0, "predict.bogus"),
+        # one row per search field, and the bound between two visibility
+        # fields
+        ("search", "tau", -0.25, "search.tau"),
+        ("search", "prune_resolution", 0, "search.prune_resolution"),
+        ("search", "heuristic_weight", -1.0, "search.heuristic_weight"),
+        ("search", "max_expansions", 0, "search.max_expansions"),
+        ("search", "horizon_slack", -1, "search.horizon_slack"),
+        ("search", "horizon_slack", 0.5, "search.horizon_slack"),
+        ("search", "effort_weight", -0.1, "search.effort_weight"),
+        ("search", "occlusion_check", 1, "search.occlusion_check"),
+        ("params", "od_max", 2.0, "params.od_max"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
                                              capsys, section, key, value,
@@ -111,7 +122,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert named in err
         if section:
-            assert section in err
+            assert f"'{section}.{key}'" in err
 
     @pytest.mark.parametrize("scenario, path, value, named", [
         ("mini", "target.path", [["a", 1, 0], [8.0, 7.5, 0.0]], "target.path"),
@@ -174,6 +185,11 @@ class TestRunCommand:
         ("mini", "map.resolution", "0.1", "map.resolution"),
         ("mini", "map.resolution", True, "map.resolution"),
         ("mini", "predict.ridge", -1.0, "predict.ridge"),
+        # an ASCII grid file needs a resolution; waypoint times increase
+        ("case1", "map", {"file": "case1_map.txt"}, "map.resolution"),
+        ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
+                                          [0.0, 5.0, 6.0, 0.0]]},
+         "target.waypoints"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -193,6 +209,26 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", 0.5), ("origin", [5, 5, 0])])
+    def test_json_grid_file_takes_no_resolution_or_origin(
+            self, tmp_path, capsys, key, value):
+        """A JSON grid file carries its own resolution and origin, so a
+        scenario that sets either exits 2 naming it."""
+        raw = json.loads(bundled_scenario("mini").read_text())
+        (tmp_path / "grid.json").write_text(json.dumps(raw["map"]))
+        raw["map"] = {"file": "grid.json"}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        load_scenario(scenario)
+        raw["map"][key] = value
+        scenario.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'map.{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_option_exits_2(self, mini_path, tmp_path, capsys):
@@ -264,6 +300,8 @@ class TestBenchCommand:
         ("1,x", None, "--seeds", "'x'"),
         ("1.5", None, "--seeds", "'1.5'"),
         ("1", "abc", "VISIPLAN_THREADS", "'abc'"),
+        # a bad seed after a good one: nothing flies, nothing is written
+        ("5,-1", None, "'seed'", "-1"),
     ])
     def test_malformed_seeds_or_threads_exit_2(self, mini_path, tmp_path,
                                                capsys, monkeypatch, seeds,
@@ -279,6 +317,48 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("visiplan:") and named in err and bad in err
         assert not out.exists()
+
+    def test_pool_writes_what_one_process_writes(self, mini_path, tmp_path,
+                                                 monkeypatch):
+        written = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VISIPLAN_THREADS", workers)
+            out = tmp_path / f"workers{workers}"
+            assert main(["bench", "--scenario", mini_path, "--out", str(out),
+                         "--seeds", "1,2"]) == 0
+            written.append({path.relative_to(out).as_posix():
+                            path.read_bytes()
+                            for path in out.rglob("*") if path.is_file()})
+        assert {"summary.csv", "seed2_baseline/report.json"} <= set(written[0])
+        assert written[0] == written[1]
+
+
+def _subprocess_env(**extra) -> dict:
+    """The environment with `extra` set and this checkout's package first
+    on the import path."""
+    src = str(Path(visiplan.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
+def test_run_writes_the_same_bytes_under_two_blas_threads(mini_path,
+                                                          tmp_path):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "visiplan.cli", "run", "--scenario",
+             mini_path, "--out", str(out), "--opt-trace", str(out / "opt.csv"),
+             "--search-trace", str(out / "search.csv")],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written.append({path.name: path.read_bytes()
+                        for path in out.iterdir()})
+    assert set(written[0]) == {"report.json", "trace.csv", "heatmap.csv",
+                               "opt.csv", "search.csv"}
+    assert written[0] == written[1]
 
 
 def test_runtime_imports_no_scipy(tmp_path):
@@ -296,11 +376,9 @@ def test_runtime_imports_no_scipy(tmp_path):
         "assert code == 0, code\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(visiplan.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "report.json").exists()

@@ -409,7 +409,6 @@ COMMON = [
 
 FOREST = COMMON + [
     ("robot_start.p", point(1.0, 19.0), False),
-    ("map.generator.kind", st.just("forest"), True),
     ("map.generator.area", st.lists(number(3.0, 25.0), min_size=2,
                                     max_size=2), False),
     ("map.generator.count", st.integers(0, 20), False),

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visiplan import sim
-from visiplan.env import OccupancyGrid, build_esdf
-from visiplan.search import raycast_occluded
+from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
+from visiplan.env import FieldError, OccupancyGrid, build_esdf
+from visiplan.optimizer import OptimizerConfig
+from visiplan.search import SearchConfig, raycast_occluded
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, ScenarioError,
                           WaypointScript, _cone_contains, bundled_scenario,
                           dumps_canonical, generate_random_forest,
@@ -154,6 +159,37 @@ class TestScenarioLoading:
     def test_bundled_lookup_rejects_unknown(self):
         with pytest.raises(ScenarioError):
             bundled_scenario("nope")
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_config_field_bound_is_the_dataclass_bound(self, data):
+        """A config section accepts a value exactly when its dataclass
+        does, and a rejection names the section and the field."""
+        section, cls = data.draw(st.sampled_from([
+            ("limits", DynamicLimits), ("params", VisibilityParams),
+            ("weights", CostWeights), ("search", SearchConfig),
+            ("optimizer", OptimizerConfig)]), label="section")
+        key = data.draw(st.sampled_from(
+            [f.name for f in dataclasses.fields(cls)]), label="field")
+        value = data.draw(st.one_of(
+            st.just(getattr(cls(), key)), st.sampled_from(
+                [0, 0.0, -1, -0.5, 0.5, 2.5, True, False, math.nan]),
+            st.floats(-10.0, 10.0), st.integers(-10, 10)), label="value")
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw[section] = {**raw.get(section, {}), key: value}
+        try:
+            cls(**raw[section])
+        except FieldError as e:
+            assert e.field == key or (key, e.field) == ("od_min", "od_max")
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_dict(raw)
+            assert f"'{section}.{e.field}'" in str(info.value)
+        else:
+            loaded = scenario_from_dict(raw)
+            config = getattr(loaded, {"search": "search_config",
+                                      "optimizer": "optimizer_config"}
+                             .get(section, section))
+            assert getattr(config, key) == value
 
 
 class TestRun:
