@@ -81,21 +81,24 @@ def cmd_run(args) -> int:
         return 2
 
     out = Path(args.out)
+    # the three trace files are views of the replan records
+    optimized = [r for r in report.replans if r.result is not None]
     if args.dump_costs:
-        dump = [{"t": t, "costs": costs} for t, costs in report.cost_dumps]
+        dump = [{"t": r.t, "costs": r.result.final_report.term_values()}
+                for r in optimized]
         (out / "costs.json").write_text(dumps_canonical(dump) + "\n")
     if args.opt_trace:
         columns = [t.column for t in TERMS] + ["total"]
         rows = ["t,iteration," + ",".join(columns)]
-        for t, trace in report.opt_trace:
-            for it, vals in trace:
-                rows.append(f"{t:.17g},{it}," + ",".join(
+        for r in optimized:
+            for it, vals in r.result.trace:
+                rows.append(f"{r.t:.17g},{it}," + ",".join(
                     f"{vals[k]:.17g}" for k in columns))
         Path(args.opt_trace).write_text("\n".join(rows) + "\n")
     if args.search_trace:
         rows = ["t,x,y,z,vx,vy,vz,cost"]
         rows += [",".join(f"{v:.17g}" for v in node)
-                 for node in report.search_trace]
+                 for r in report.replans for node in r.expanded]
         Path(args.search_trace).write_text("\n".join(rows) + "\n")
 
     print(f"termination={report.termination} "

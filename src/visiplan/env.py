@@ -207,7 +207,8 @@ def require_valid_fields(config, nonnegative=()) -> None:
     """FieldError naming the first field of the config dataclass `config`
     whose value does not fit its annotation: a `bool` field holds True or
     False, an `int` field a positive integral number and a `float` field a
-    finite positive one, where a field named in `nonnegative` may be 0."""
+    finite positive one, where a field named in `nonnegative` may be 0. An
+    `int` field's integral float (20.0) is stored as the int it equals."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "bool":
@@ -221,6 +222,8 @@ def require_valid_fields(config, nonnegative=()) -> None:
         if not ok:
             raise FieldError(f"{f.name} must be {what}, got {value!r}",
                              f.name)
+        if f.type == "int":
+            setattr(config, f.name, int(value))
 
 
 def load_grid(path, resolution: float | None = None,

@@ -52,7 +52,8 @@ class OptimizeResult:
     final_report: CostReport
     iterations: int
     termination: Termination
-    trace: list = field(default_factory=list, repr=False)
+    # (iteration, term values) of the seed and of each accepted iterate
+    trace: list = field(repr=False)
 
 
 def _find_nonfinite_term(traj, target, esdf, params, weights, limits) -> str:
@@ -66,8 +67,7 @@ def _find_nonfinite_term(traj, target, esdf, params, weights, limits) -> str:
 def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
              params: VisibilityParams, weights: CostWeights,
              limits: DynamicLimits,
-             config: OptimizerConfig | None = None,
-             keep_trace: bool = False) -> OptimizeResult:
+             config: OptimizerConfig | None = None) -> OptimizeResult:
     """Minimize the weighted total cost; returns the best trajectory found.
 
     Guarantees: the accepted cost sequence is non-increasing, the first three
@@ -104,9 +104,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
                            + _find_nonfinite_term(traj, target, esdf, params,
                                                   weights, limits))
 
-    trace = []
-    if keep_trace:
-        trace.append((0, report.term_values()))
+    trace = [(0, report.term_values())]
 
     best_x, best_report = x.copy(), report
     s_hist: list[np.ndarray] = []
@@ -157,8 +155,7 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         rel_drop = (report.total - rep_new.total) / max(abs(report.total), 1e-300)
         x, report, grad = x_new, rep_new, grad_new
         iteration += 1
-        if keep_trace:
-            trace.append((iteration, report.term_values()))
+        trace.append((iteration, report.term_values()))
         if report.total < best_report.total:
             best_x, best_report = x.copy(), report
         if rel_drop <= cfg.relative_cost_tolerance:

@@ -114,32 +114,6 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
     sy, ty, dty = _dda_axis(j, ay, dy)
     sz, tz, dtz = _dda_axis(k, az, dz)
 
-    if sz == 0:
-        if not 0 <= k < nz:
-            return False        # the whole segment runs above or below the grid
-        # The traversal never leaves the box of the end cells grown by one
-        # cell (it may cross the face of b's cell that b lies on), so ends at
-        # least one cell inside the grid need no bounds checks.
-        fi = math.floor(bx) if sx else i
-        fj = math.floor(by) if sy else j
-        if (0 < i < nx - 1 and 0 < fi < nx - 1 and 0 < j < ny - 1
-                and 0 < fj < ny - 1):
-            idx = (i * ny + j) * nz + k
-            step_x, step_y = sx * ny * nz, sy * nz
-            while True:
-                if occ[idx]:
-                    return True
-                if ty < tx:
-                    if ty > 1.0:
-                        return False
-                    idx += step_y
-                    ty += dty
-                else:
-                    if tx > 1.0:
-                        return False
-                    idx += step_x
-                    tx += dtx
-
     # ties go to the lowest axis: x, then y, then z
     while True:
         if (0 <= i < nx and 0 <= j < ny and 0 <= k < nz

@@ -21,7 +21,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .costs import TERMS, CostWeights, DynamicLimits, VisibilityParams
+from .costs import (TERMS, CostWeights, DynamicLimits, TargetTrack,
+                    VisibilityParams)
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
@@ -71,11 +72,11 @@ class WaypointScript:
             out.append(pts[0])
             times.append(start_hold)
         for a, b in zip(pts[:-1], pts[1:]):
-            seg_t = float(np.linalg.norm(b - a)) / speed
-            if seg_t <= 0:
+            end = times[-1] + float(np.linalg.norm(b - a)) / speed
+            if end <= times[-1]:    # a leg too short to advance the clock
                 continue
             out.append(b)
-            times.append(times[-1] + seg_t)
+            times.append(end)
         return cls(times, np.stack(out))
 
     def at(self, t: float) -> np.ndarray:
@@ -584,9 +585,7 @@ class RunReport:
         (int(HEATMAP_WINDOW / HEATMAP_BIN), int(HEATMAP_WINDOW / HEATMAP_BIN)),
         dtype=np.int64))
     replan_times: list = field(default_factory=list)   # wall clock, not serialized
-    cost_dumps: list = field(default_factory=list)
-    opt_trace: list = field(default_factory=list)
-    search_trace: list = field(default_factory=list)
+    replans: list = field(default_factory=list)   # Replan records, when traced
 
     def psi_err_series(self):
         return np.array([s.psi_err for s in self.steps])
@@ -670,17 +669,21 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
 # planner
 
 
+# one replan cycle: its time, the rows of the nodes its search expanded
+# (empty when the last path was reused) and the optimizer's result (None when
+# the search failed)
+Replan = namedtuple("Replan", "t expanded result")
+
+
 class Planner:
     """The replan pipeline of one run: predict the target, reuse the last
     front-end path or search a new one, fit a seed spline to it and optimize
-    position and yaw. Keeps the path between cycles and, with
-    `collect_traces`, the expanded search nodes, the optimizer's costs per
-    iteration and each replan's final costs."""
+    position and yaw. Keeps the path between cycles."""
 
-    def __init__(self, scenario: Scenario, collect_traces: bool = False):
+    def __init__(self, scenario: Scenario):
         sc = self.scenario = scenario
         self.dt_knot = sc.horizon / (sc.num_control_points - 3)
-        self.wp_offsets = np.arange(sc.num_control_points - 2) * self.dt_knot
+        # the prediction at half-knot steps; its even rows are the knots'
         self.track_offsets = np.arange(
             0, sc.search_config.horizon_slack
             * max(sc.search_horizon, sc.horizon) + self.dt_knot,
@@ -690,13 +693,11 @@ class Planner:
         # visibility-blind: the front end stops rejecting sight-losing nodes
         self.search_config = sc.search_config if sc.mode != "baseline" \
             else replace(sc.search_config, occlusion_check=False)
-        self.collect_traces = collect_traces
         self.held_path = None   # (abs_points, abs_times) of the last search
-        self.search_trace, self.opt_trace, self.cost_dumps = [], [], []
 
-    def replan(self, t: float, state: RobotState, history: HistoryBuffer):
-        """A trajectory from `state` at time `t`, or None when the search
-        finds no path."""
+    def replan(self, t: float, state: RobotState,
+               history: HistoryBuffer) -> Replan:
+        """The cycle at time `t` from `state`."""
         sc = self.scenario
         model = fit(history.snapshot(), degree=sc.predict_degree,
                     ridge=sc.predict_ridge, window=sc.predict_window,
@@ -707,6 +708,7 @@ class Planner:
             idx = min(int(round(s / _dt)), len(_track) - 1)
             return _track.c[idx]
 
+        expanded = []
         # the previous front-end path usually still checks out against the
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _revalidate_path(self.held_path, t, state, target_at,
@@ -721,12 +723,11 @@ class Planner:
                                     sc.limits, self.search_config,
                                     horizon=sc.search_horizon,
                                     standoff=self.standoff,
-                                    trace=self.search_trace
-                                    if self.collect_traces else None)
+                                    trace=expanded)
                 self.held_path = (pts + 0.0, times + t)
             except SearchError:
                 self.held_path = None
-                return None
+                return Replan(t, expanded, None)
 
         if sc.mode == "baseline":
             yaw_targets = None
@@ -740,14 +741,11 @@ class Planner:
         seed_traj = initialize_from_path(pts, times, state, self.dt_knot,
                                          sc.num_control_points,
                                          yaw_targets=yaw_targets)
-        track = predict_track(model, t + self.wp_offsets)
+        # knot m's time and half-knot 2m's time both round m * dt_knot once
+        track = TargetTrack(track_all.c[:2 * sc.num_control_points - 5:2])
         result = optimize(seed_traj, track, sc.esdf, sc.params, self.weights,
-                          sc.limits, sc.optimizer_config,
-                          keep_trace=self.collect_traces)
-        if self.collect_traces:
-            self.opt_trace.append((t, result.trace))
-            self.cost_dumps.append((t, result.final_report.term_values()))
-        return result.trajectory
+                          sc.limits, sc.optimizer_config)
+        return Replan(t, expanded, result)
 
 
 # ---------------------------------------------------------------------------
@@ -757,11 +755,8 @@ class Planner:
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
     history = HistoryBuffer(span=sc.predict_window * 2.0)
-    planner = Planner(sc, collect_traces)
-    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
-                       cost_dumps=planner.cost_dumps,
-                       opt_trace=planner.opt_trace,
-                       search_trace=planner.search_trace)
+    planner = Planner(sc)
+    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
     half_bins = report.heatmap.shape[0] // 2
 
     committed = None        # (trajectory, start time)
@@ -814,8 +809,12 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
             break
 
         t_wall = time.perf_counter()
-        traj = planner.replan(t, state, history)
+        cycle = planner.replan(t, state, history)
         report.replan_times.append(time.perf_counter() - t_wall)
+        if collect_traces:
+            report.replans.append(cycle)
+        traj = cycle.result.trajectory if cycle.result is not None else None
+        del cycle   # untraced, the record is freed before the next cycle
         if traj is not None:
             committed = (traj, t)
         elif committed is None:

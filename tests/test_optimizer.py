@@ -88,7 +88,7 @@ class TestOptimize:
         field = open_field()
         track = static_track(10, [5.0, 2.0, 0.0])
         res = optimize(traj, track, field, PARAMS, CostWeights(), LIMITS,
-                       OptimizerConfig(), keep_trace=True)
+                       OptimizerConfig())
         totals = [vals["total"] for _, vals in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 

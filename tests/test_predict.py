@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from visiplan.predict import (HistoryBuffer, TargetObservation, fit,
-                              predict_track)
+from visiplan.predict import (HistoryBuffer, PredictionModel,
+                              TargetObservation, fit, predict_track)
+from visiplan.search import SearchConfig
+from visiplan.sim import Planner, bundled_scenario, load_scenario
 
 
 def obs(times, fn):
@@ -131,3 +137,34 @@ class TestHistoryBuffer:
         buf.push(0.0, [0, 0, 0])
         with pytest.raises(ValueError):
             buf.push(0.0, [1, 0, 0])
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_knot_track_is_every_second_half_knot_row(data):
+    """The planner hands the optimizer every second row of the half-knot
+    track the search reads; that slice is the track at the knot times bit
+    for bit, for models that saturate before the horizon or never."""
+    n = data.draw(st.integers(4, 60), label="num_control_points")
+    horizon = data.draw(st.floats(0.3, 8.0), label="horizon")
+    sc = replace(
+        load_scenario(bundled_scenario("mini")), num_control_points=n,
+        horizon=horizon,
+        search_horizon=data.draw(st.floats(0.3, 8.0), label="search_horizon"),
+        search_config=SearchConfig(horizon_slack=data.draw(
+            st.floats(1.0, 3.0), label="horizon_slack")))
+    planner = Planner(sc)
+    degree = data.draw(st.integers(0, 5), label="degree")
+    scale = data.draw(st.sampled_from([0.01, 0.3, 1.0, 5.0]), label="scale")
+    coeffs = np.array(data.draw(st.lists(
+        st.floats(-scale, scale), min_size=3 * (degree + 1),
+        max_size=3 * (degree + 1)), label="coeffs")).reshape(degree + 1, 3)
+    t = data.draw(st.integers(0, 300), label="step") * 0.1
+    model = PredictionModel(degree, coeffs, t, horizon,
+                            data.draw(st.floats(0.05, 3.0), label="v_max"))
+
+    half_knots = predict_track(model, t + planner.track_offsets)
+    knots = predict_track(model, t + np.arange(n - 2) * planner.dt_knot)
+    sliced = half_knots.c[:2 * n - 5:2]
+    assert sliced.shape == knots.c.shape
+    assert sliced.tobytes() == knots.c.tobytes()

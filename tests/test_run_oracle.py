@@ -6,7 +6,8 @@ since deleted `pose_noise_sigma`, which no scenario set) together with its
 path check and rotation helper; `reference_config_echo` is the scenario echo
 as it was before the weight keys came from the cost-term table. The
 simulator must record the same steps, report and traces bit for bit, in
-both modes.
+both modes. The reference keeps its three trace lists beside the report;
+the simulator's are built from its replan records.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ def reference_config_echo(self) -> dict:
     }
 
 
-def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
+def reference_run(scenario: Scenario, collect_traces: bool = False):
     sc = scenario
     esdf = sc.esdf
     history = HistoryBuffer(span=sc.predict_window * 2.0)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
+    search_trace, opt_trace, cost_dumps = [], [], []
 
     dt_knot = sc.horizon / (sc.num_control_points - 3)
     wp_offsets = np.arange(sc.num_control_points - 2) * dt_knot
@@ -150,7 +152,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport
                 pts, times = search(state, target_at, sc.grid, esdf,
                                     sc.limits, search_cfg, horizon=s_horizon,
                                     standoff=standoff,
-                                    trace=report.search_trace
+                                    trace=search_trace
                                     if collect_traces else None)
                 held_path = (pts + 0.0, times + t)
             except SearchError:
@@ -176,17 +178,16 @@ def reference_run(scenario: Scenario, collect_traces: bool = False) -> RunReport
                                          yaw_targets=yaw_targets)
         track = predict_track(model, t + wp_offsets)
         result = optimize(seed_traj, track, esdf, sc.params, weights,
-                          sc.limits, sc.optimizer_config,
-                          keep_trace=collect_traces)
+                          sc.limits, sc.optimizer_config)
         committed = (result.trajectory, t)
         report.replan_times.append(time.perf_counter() - t_wall)
         if collect_traces:
-            report.opt_trace.append((t, result.trace))
-            report.cost_dumps.append((t, result.final_report.term_values()))
+            opt_trace.append((t, result.trace))
+            cost_dumps.append((t, result.final_report.term_values()))
 
     if not failure_latched and report.termination == "completed":
         report.failure_time = sc.duration
-    return report
+    return report, (search_trace, opt_trace, cost_dumps)
 
 
 def _reference_revalidate_path(held, t, state, target_at, grid, esdf,
@@ -236,13 +237,22 @@ def scenario(name, mode, seed=None, duration=None) -> Scenario:
     return sc
 
 
-def recorded(report: RunReport) -> str:
+def traces(report: RunReport):
+    """The reference's three trace lists, built from the replan records:
+    expanded search nodes, optimizer costs per iteration, final costs."""
+    optimized = [r for r in report.replans if r.result is not None]
+    return ([node for r in report.replans for node in r.expanded],
+            [(r.t, r.result.trace) for r in optimized],
+            [(r.t, r.result.final_report.term_values()) for r in optimized])
+
+
+def recorded(report: RunReport, trace_lists) -> str:
     """Every deterministic output of a run, floats by their exact repr."""
     steps = [(s.t, s.p.tolist(), s.yaw, s.target.tolist(), s.d, s.psi_err,
               s.in_fov, s.occluded) for s in report.steps]
     return repr((dumps_canonical(report.to_json_dict()), steps,
                  report.heatmap.tolist(), len(report.replan_times),
-                 report.search_trace, report.opt_trace, report.cost_dumps))
+                 *trace_lists))
 
 
 # short missions: mini loses the target in baseline mode, and the visibility
@@ -259,8 +269,8 @@ def test_run_matches_reference(name, seed, duration, mode):
                          collect_traces=True)
     sc = scenario(name, mode, seed, duration)
     got = run(sc, collect_traces=True)
-    assert got.opt_trace and got.cost_dumps and got.search_trace
-    assert recorded(got) == recorded(want)
+    assert all(traces(got))
+    assert recorded(got, traces(got)) == recorded(*want)
     assert dumps_canonical(sc.config_echo()) == \
         dumps_canonical(reference_config_echo(sc))
 
@@ -268,8 +278,8 @@ def test_run_matches_reference(name, seed, duration, mode):
 def test_untraced_run_matches_reference():
     want = reference_run(scenario("mini", "visibility", duration=1.5))
     got = run(scenario("mini", "visibility", duration=1.5))
-    assert not (got.search_trace or got.opt_trace or got.cost_dumps)
-    assert recorded(got) == recorded(want)
+    assert not got.replans
+    assert recorded(got, traces(got)) == recorded(*want)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ class TestWaypointScript:
         with pytest.raises(ScenarioError):
             WaypointScript([0.0, 0.0], [[0, 0, 0], [1, 0, 0]])
 
+    @pytest.mark.parametrize("tail", [[4.0, 6.0, 0.0], [4 + 5e-16, 6.0, 0.0]])
+    def test_path_skips_a_leg_too_short_to_advance_time(self, tail):
+        # the last leg is zero, or shorter than the float spacing of its end
+        # time; either way the script ends where the leg before it ends
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["target"] = {"path": [[4, 6, 0], [10, 6, 0], [4, 6, 0], tail]}
+        script = scenario_from_dict(raw).target
+        assert script.times.tolist() == [0.0, 6.0, 12.0]
+        assert script.points.tolist() == [[4, 6, 0], [10, 6, 0], [4, 6, 0]]
+
 
 class TestRandomTarget:
     def test_deterministic_and_clear(self):
@@ -190,6 +200,17 @@ class TestScenarioLoading:
                                       "optimizer": "optimizer_config"}
                              .get(section, section))
             assert getattr(config, key) == value
+
+    def test_integral_float_loads_as_int(self):
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["params"] = {"m_balls": 10.0}
+        raw["search"] = {"max_expansions": 4000.0}
+        raw["optimizer"] = {"max_iterations": 20.0}
+        sc = scenario_from_dict(raw)
+        for value, want in ((sc.params.m_balls, 10),
+                            (sc.search_config.max_expansions, 4000),
+                            (sc.optimizer_config.max_iterations, 20)):
+            assert type(value) is int and value == want
 
 
 class TestRun:
