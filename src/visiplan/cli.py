@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-`visiplan run`   executes one scenario and writes report/trace/heatmap files.
+`visiplan run`   executes one scenario and writes report/trace/heatmap files,
+                 and with --planner-traces the replan records' trace files.
 `visiplan bench` sweeps seeds and modes over a scenario template and emits a
 summary CSV. Tracking failure is data (exit 0); configuration and IO
-problems exit nonzero with a diagnostic naming the offending field.
+problems exit 2 with a diagnostic naming the offending field or file.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .costs import TERMS
-from .sim import (RunReport, ScenarioError, dumps_canonical, load_scenario,
-                  run, write_outputs)
+from .sim import RunReport, ScenarioError, load_scenario, run, write_outputs
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -31,12 +30,10 @@ def _parser() -> argparse.ArgumentParser:
                     default="visibility")
     pr.add_argument("--seed", type=int, default=None,
                     help="override the scenario seed")
-    pr.add_argument("--dump-costs", action="store_true",
-                    help="write per-replan cost breakdown JSON")
-    pr.add_argument("--opt-trace", default=None, metavar="FILE",
-                    help="write per-iteration optimizer cost CSV")
-    pr.add_argument("--search-trace", default=None, metavar="FILE",
-                    help="write expanded search nodes CSV")
+    pr.add_argument("--planner-traces", action="store_true",
+                    help="also write costs.json (final cost terms per "
+                    "replan), opt_trace.csv (optimizer costs per iteration) "
+                    "and search_trace.csv (expanded search nodes)")
 
     pb = sub.add_parser("bench", help="sweep seeds and modes")
     pb.add_argument("--scenario", required=True, help="scenario template JSON")
@@ -69,38 +66,8 @@ def _bench_worker(args):
 
 
 def cmd_run(args) -> int:
-    collect = bool(args.dump_costs or args.opt_trace or args.search_trace)
-    try:
-        report = _run_one(args.scenario, args.seed, args.mode, args.out,
-                          collect)
-    except ScenarioError as e:
-        print(f"visiplan: scenario error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"visiplan: io error: {e}", file=sys.stderr)
-        return 2
-
-    out = Path(args.out)
-    # the three trace files are views of the replan records
-    optimized = [r for r in report.replans if r.result is not None]
-    if args.dump_costs:
-        dump = [{"t": r.t, "costs": r.result.final_report.term_values()}
-                for r in optimized]
-        (out / "costs.json").write_text(dumps_canonical(dump) + "\n")
-    if args.opt_trace:
-        columns = [t.column for t in TERMS] + ["total"]
-        rows = ["t,iteration," + ",".join(columns)]
-        for r in optimized:
-            for it, vals in r.result.trace:
-                rows.append(f"{r.t:.17g},{it}," + ",".join(
-                    f"{vals[k]:.17g}" for k in columns))
-        Path(args.opt_trace).write_text("\n".join(rows) + "\n")
-    if args.search_trace:
-        rows = ["t,x,y,z,vx,vy,vz,cost"]
-        rows += [",".join(f"{v:.17g}" for v in node)
-                 for r in report.replans for node in r.expanded]
-        Path(args.search_trace).write_text("\n".join(rows) + "\n")
-
+    report = _run_one(args.scenario, args.seed, args.mode, args.out,
+                      args.planner_traces)
     print(f"termination={report.termination} "
           f"failure_time={report.failure_time:.17g}")
     return 0
@@ -118,23 +85,16 @@ def cmd_bench(args) -> int:
     outdir = Path(args.out)
     jobs = [(args.scenario, seed, mode, str(outdir / f"seed{seed}_{mode}"))
             for seed in seeds for mode in modes]
-    try:
-        # every run loads before the first flies, so that a malformed seed
-        # or template writes nothing
-        for path, seed, mode, _ in jobs:
-            load_scenario(path, mode=mode, seed=seed)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_bench_worker, jobs))
-        else:
-            results = [_bench_worker(j) for j in jobs]
-    except ScenarioError as e:
-        print(f"visiplan: scenario error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"visiplan: io error: {e}", file=sys.stderr)
-        return 2
+    # every run loads before the first flies, so that a malformed seed or
+    # template writes nothing
+    for path, seed, mode, _ in jobs:
+        load_scenario(path, mode=mode, seed=seed)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_bench_worker, jobs))
+    else:
+        results = [_bench_worker(j) for j in jobs]
 
     summary = outdir / "summary.csv"
     with summary.open("w", newline="") as fh:
@@ -156,10 +116,17 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a malformed scenario or a failed read or write of
+    any file exits 2 with a one-line diagnostic."""
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_bench(args)
+    command = cmd_run if args.command == "run" else cmd_bench
+    try:
+        return command(args)
+    except ScenarioError as e:
+        print(f"visiplan: scenario error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"visiplan: io error: {e}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .costs import TargetTrack
 
-_SPEED_PROBE_DT = 0.01     # s, spacing of the speed-bound probe
+SPEED_PROBE_DT = 0.01     # s, spacing of the speed-bound probe
 
 
 @dataclass
@@ -64,9 +64,6 @@ class HistoryBuffer:
     def snapshot(self) -> list[TargetObservation]:
         return list(self._obs)
 
-    def __len__(self):
-        return len(self._obs)
-
 
 def fit(history: list[TargetObservation], degree: int = 3,
         ridge: float = 1e-4, window: float = 2.0, horizon: float = 3.0,
@@ -104,9 +101,9 @@ def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
 
 
 def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
-    """First forecast time, on a `_SPEED_PROBE_DT` grid, at which fitted
+    """First forecast time, on a `SPEED_PROBE_DT` grid, at which fitted
     speed exceeds the bound."""
-    s = np.arange(0.0, t_end - model.t_ref + _SPEED_PROBE_DT, _SPEED_PROBE_DT)
+    s = np.arange(0.0, t_end - model.t_ref + SPEED_PROBE_DT, SPEED_PROBE_DT)
     k = np.arange(1, model.degree + 1)
     dbasis = k[None, :] * s[:, None] ** (k - 1)[None, :]
     speeds = np.linalg.norm(dbasis @ model.coeffs[1:], axis=1)

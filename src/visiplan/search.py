@@ -278,9 +278,8 @@ def _clearance_certificate(esdf: ESDFField, clearance: float,
 
 
 def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
-           limits: DynamicLimits, config: SearchConfig | None = None,
-           horizon: float = 3.0, *, standoff: float,
-           trace: list | None = None):
+           limits: DynamicLimits, config: SearchConfig, horizon: float, *,
+           standoff: float, trace: list | None = None):
     """Plan a feasible, occlusion-free primitive path toward the target.
 
     start_state carries .p and .v; target_at(t) gives the predicted target
@@ -301,7 +300,6 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     bounding box holds no occupied cell is not cast, nor one that ends
     inside an occupied cell. None of these shortcuts changes any output.
     """
-    cfg = config or SearchConfig()
     clearance = limits.d_thr / 2.0
     planar = grid.dims[2] == 1
 
@@ -326,31 +324,31 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
-    tau = cfg.tau
+    tau = config.tau
     samp_t = np.linspace(0.0, tau, COLLISION_SAMPLES)
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
-    step_cost = tau * (1.0 + cfg.effort_weight
+    step_cost = tau * (1.0 + config.effort_weight
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
     # successors run on Python floats, each value computed with the same
     # operations in the same order as the former numpy batch
     prims = list(enumerate(zip((accels * tau).tolist(),
                                (0.5 * accels * tau * tau).tolist(),
                                step_cost.tolist())))
-    max_time = cfg.horizon_slack * horizon + 1e-9
+    max_time = config.horizon_slack * horizon + 1e-9
     v_quant = max(limits.a_m * tau, 1e-6)
-    inv_prune = 1.0 / cfg.prune_resolution
+    inv_prune = 1.0 / config.prune_resolution
     inv_vq = 1.0 / v_quant
     gx, gy, gz = (float(v) for v in goal_center)
     v_m2 = limits.v_m ** 2
-    hw = cfg.heuristic_weight
+    hw = config.heuristic_weight
 
     # a primitive's samples stay within |v| * tau + a_max * tau^2 / 2 of
     # its node
     clear_within = _clearance_certificate(
         esdf, clearance,
         0.5 * tau * tau * float(np.sqrt((accels ** 2).sum(axis=1)).max()))
-    if cfg.occlusion_check:
+    if config.occlusion_check:
         sight_clear = _sight_certificate(grid)
 
     def in_goal(p, t) -> bool:
@@ -383,7 +381,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     n0 = np.linalg.norm(u0)
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
-    sighted0 = not cfg.occlusion_check or \
+    sighted0 = not config.occlusion_check or \
         not raycast_occluded(grid, p0, c0)
     root = SearchNode(p0.tolist(), v0.tolist(), 0.0, 0.0, sighted=sighted0)
     counter = itertools.count()
@@ -414,7 +412,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             return pts, times
 
         expansions += 1
-        if expansions > cfg.max_expansions:
+        if expansions > config.max_expansions:
             break
         if trace is not None:
             trace.append((node.time, *node.position, *node.velocity, node.cost))
@@ -429,7 +427,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             depth = depths[t_next] = (
                 int(round(t_next / tau)), (c_next + standoff * u0).tolist(),
                 c_row, grid.cell_of(c_row),
-                _buried_certificate(grid, c_row) if cfg.occlusion_check
+                _buried_certificate(grid, c_row) if config.occlusion_check
                 else None)
         layer, (fx, fy, fz), c_row, c_cell, hit = depth
         # a sighted node loses every successor whose ray is surely occluded,
@@ -481,7 +479,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         for idx, (i, p, v, dev, g_new, row) in enumerate(live):
             if dist is not None and dist[idx] <= clearance:
                 continue
-            if cfg.occlusion_check:
+            if config.occlusion_check:
                 occluded = (hit is not None and hit(p)) or (
                     not sight_clear(p, c_cell)
                     and raycast_occluded(grid, p, c_row))

@@ -26,7 +26,7 @@ from .costs import (TERMS, CostWeights, DynamicLimits, TargetTrack,
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
-from .predict import HistoryBuffer, fit, predict_track
+from .predict import SPEED_PROBE_DT, HistoryBuffer, fit, predict_track
 from .search import (GOAL_TOLERANCE, SearchConfig, SearchError,
                      raycast_occluded, search)
 from .spline import RobotState, initialize_from_path, wrap_angle
@@ -374,12 +374,11 @@ def _one_of(*kinds):
     return parse
 
 
-def _config(cls, **defaults):
-    """Kind: the config dataclass `cls` built over `defaults`; the class
-    checks its own fields."""
+def _config(cls):
+    """Kind: the config dataclass `cls`; the class checks its own fields."""
     def parse(value, name):
         _object(value, name, {f.name for f in dataclasses.fields(cls)})
-        return _checked(name, cls, **{**defaults, **value})
+        return _checked(name, cls, **value)
     return parse
 
 
@@ -439,7 +438,7 @@ _SCENARIO = (
     _Row("params", _config(VisibilityParams), {}),
     _Row("weights", _config(CostWeights), {}),
     _Row("search", _config(SearchConfig), {}),
-    _Row("optimizer", _config(OptimizerConfig, max_iterations=30), {}),
+    _Row("optimizer", _config(OptimizerConfig), {}),
 )
 
 
@@ -462,6 +461,21 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     s = _read(raw, "scenario", _SCENARIO)
     if seed is not None:
         s.seed = _SEED(seed, "seed")
+    search_horizon = s.search_horizon or s.horizon
+    # finite fields can still give an infinite count of the run's steps or
+    # of the predictor's probes over the planner's prediction span
+    if not math.isfinite(s.duration / s.replan_period):
+        raise ScenarioError(
+            "scenario fields 'duration' and 'replan_period' must give a "
+            f"finite step count, got {s.duration!r} / {s.replan_period!r}")
+    span = s.search.horizon_slack * max(s.horizon, search_horizon)
+    if not math.isfinite(span / SPEED_PROBE_DT):
+        raise ScenarioError(
+            "scenario fields 'search.horizon_slack', 'horizon' and "
+            "'search_horizon' must give a prediction span horizon_slack * "
+            f"max(horizon, search_horizon) finite in {SPEED_PROBE_DT} s "
+            f"steps, got {s.search.horizon_slack!r} * max({s.horizon!r}, "
+            f"{search_horizon!r})")
     start = RobotState.at_rest(s.robot_start.p, s.robot_start.yaw)
     grid = _checked("map", _load_map, *s.map, base_dir, s.seed,
                     keep_clear=(start.p, _target_start(*s.target)))
@@ -477,7 +491,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         replan_period=s.replan_period,
         duration=s.duration,
         horizon=s.horizon,
-        search_horizon=s.search_horizon or s.horizon,
+        search_horizon=search_horizon,
         num_control_points=s.num_control_points,
         seed=s.seed,
         limits=s.limits, params=s.params, weights=s.weights,
@@ -585,7 +599,7 @@ class RunReport:
         (int(HEATMAP_WINDOW / HEATMAP_BIN), int(HEATMAP_WINDOW / HEATMAP_BIN)),
         dtype=np.int64))
     replan_times: list = field(default_factory=list)   # wall clock, not serialized
-    replans: list = field(default_factory=list)   # Replan records, when traced
+    replans: list | None = None   # Replan records of a traced run
 
     def psi_err_series(self):
         return np.array([s.psi_err for s in self.steps])
@@ -643,25 +657,43 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
+def _floats(values) -> str:
+    return ",".join(f"{v:.17g}" for v in values)
+
+
 def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
+    """Write a run's files into `outdir` and return their paths by name:
+    `report` (report.json), `trace` (trace.csv, one row per step) and
+    `heatmap` (heatmap.csv); a traced run adds three views of its replan
+    records, `costs` (costs.json, the final cost terms of each optimized
+    replan), `opt_trace` (opt_trace.csv, the optimizer's costs per
+    iteration) and `search_trace` (search_trace.csv, the expanded search
+    nodes)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    files = {
+        "report.json": [dumps_canonical(report.to_json_dict())],
+        "trace.csv": ["t,x,y,z,yaw,tx,ty,tz,d,psi_err,in_fov,occluded"] + [
+            _floats([s.t, *s.p, s.yaw, *s.target, s.d, s.psi_err])
+            + f",{int(s.in_fov)},{int(s.occluded)}" for s in report.steps],
+        "heatmap.csv": [",".join(str(int(v)) for v in row)
+                        for row in report.heatmap],
+    }
+    if report.replans is not None:
+        optimized = [r for r in report.replans if r.result is not None]
+        columns = [t.column for t in TERMS] + ["total"]
+        files["costs.json"] = [dumps_canonical(
+            [{"t": r.t, "costs": r.result.final_report.term_values()}
+             for r in optimized])]
+        files["opt_trace.csv"] = ["t,iteration," + ",".join(columns)] + [
+            f"{r.t:.17g},{it}," + _floats(vals[k] for k in columns)
+            for r in optimized for it, vals in r.result.trace]
+        files["search_trace.csv"] = ["t,x,y,z,vx,vy,vz,cost"] + [
+            _floats(node) for r in report.replans for node in r.expanded]
     paths = {}
-
-    paths["report"] = outdir / "report.json"
-    paths["report"].write_text(dumps_canonical(report.to_json_dict()) + "\n")
-
-    rows = ["t,x,y,z,yaw,tx,ty,tz,d,psi_err,in_fov,occluded"]
-    for s in report.steps:
-        vals = [s.t, *s.p, s.yaw, *s.target, s.d, s.psi_err]
-        rows.append(",".join(f"{v:.17g}" for v in vals)
-                    + f",{int(s.in_fov)},{int(s.occluded)}")
-    paths["trace"] = outdir / "trace.csv"
-    paths["trace"].write_text("\n".join(rows) + "\n")
-
-    hm_rows = [",".join(str(int(v)) for v in row) for row in report.heatmap]
-    paths["heatmap"] = outdir / "heatmap.csv"
-    paths["heatmap"].write_text("\n".join(hm_rows) + "\n")
+    for name, lines in files.items():
+        path = paths[name.split(".")[0]] = outdir / name
+        path.write_text("\n".join(lines) + "\n")
     return paths
 
 
@@ -756,7 +788,8 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
     history = HistoryBuffer(span=sc.predict_window * 2.0)
     planner = Planner(sc)
-    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
+    report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
+                       replans=[] if collect_traces else None)
     half_bins = report.heatmap.shape[0] // 2
 
     committed = None        # (trajectory, start time)
@@ -811,7 +844,7 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
         t_wall = time.perf_counter()
         cycle = planner.replan(t, state, history)
         report.replan_times.append(time.perf_counter() - t_wall)
-        if collect_traces:
+        if report.replans is not None:
             report.replans.append(cycle)
         traj = cycle.result.trajectory if cycle.result is not None else None
         del cycle   # untraced, the record is freed before the next cycle

@@ -106,16 +106,14 @@ class TrajectoryBSpline:
         return w @ self.q[s:s + 4], float(w @ self.phi[s:s + 4])
 
     def evaluate_derivative(self, t: float, order: int = 1):
-        """Time derivative of (position, yaw) at t for order 1..3."""
-        if not 1 <= order <= 3:
-            raise ValueError("order must be 1..3")
+        """Time derivative of (position, yaw) at t for order 1 or 2."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
         s, u = self._segment(t)
         if order == 1:
             poly = np.array([3 * u ** 2, 2 * u, 1.0, 0.0])
-        elif order == 2:
-            poly = np.array([6 * u, 2.0, 0.0, 0.0])
         else:
-            poly = np.array([6.0, 0.0, 0.0, 0.0])
+            poly = np.array([6 * u, 2.0, 0.0, 0.0])
         w = (poly @ _BASIS) / self.dt ** order
         return w @ self.q[s:s + 4], float(w @ self.phi[s:s + 4])
 

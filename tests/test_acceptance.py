@@ -39,16 +39,34 @@ def announce(log, num: int, name: str, ok: bool, detail: str = ""):
 # --------------------------------------------------------------------------
 # shared fixtures: the four benchmark runs are reused across criteria
 
-@pytest.fixture(scope="module")
-def case1_runs():
-    return {mode: run(load_scenario(bundled_scenario("case1"), mode=mode))
-            for mode in ("visibility", "baseline")}
+def _benchmark_run(job):
+    name, mode = job
+    return run(load_scenario(bundled_scenario(name), mode=mode))
 
 
 @pytest.fixture(scope="module")
-def case2_runs():
-    return {mode: run(load_scenario(bundled_scenario("case2"), mode=mode))
-            for mode in ("visibility", "baseline")}
+def benchmark_runs():
+    # the four missions are independent, so two worker processes fly them;
+    # each report is that of a serial run, bit for bit
+    jobs = [(name, mode) for name in ("case1", "case2")
+            for mode in ("visibility", "baseline")]
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=get_context("spawn")) as pool:
+        reports = list(pool.map(_benchmark_run, jobs))
+    runs = {name: {} for name, _ in jobs}
+    for (name, mode), report in zip(jobs, reports):
+        runs[name][mode] = report
+    return runs
+
+
+@pytest.fixture(scope="module")
+def case1_runs(benchmark_runs):
+    return benchmark_runs["case1"]
+
+
+@pytest.fixture(scope="module")
+def case2_runs(benchmark_runs):
+    return benchmark_runs["case2"]
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,24 @@ import pytest
 
 import visiplan
 from visiplan.cli import main
+from visiplan.costs import TERMS
 from visiplan.sim import bundled_scenario, load_scenario
 
 
 @pytest.fixture(scope="module")
 def mini_path():
     return str(bundled_scenario("mini"))
+
+
+@pytest.fixture
+def never_replans(tmp_path):
+    """mini.json shortened below half a replan period: it flies no
+    replan."""
+    raw = json.loads(bundled_scenario("mini").read_text())
+    raw["duration"] = 0.04
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 class TestRunCommand:
@@ -26,8 +38,9 @@ class TestRunCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert "failure_time" in report
-        assert (out / "trace.csv").exists()
-        assert (out / "heatmap.csv").exists()
+        # an untraced run writes none of the planner's trace files
+        assert sorted(path.name for path in out.iterdir()) == [
+            "heatmap.csv", "report.json", "trace.csv"]
 
     def test_baseline_mode_echoes_zero_weights(self, mini_path, tmp_path):
         out = tmp_path / "out"
@@ -190,6 +203,12 @@ class TestRunCommand:
         ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
                                           [0.0, 5.0, 6.0, 0.0]]},
          "target.waypoints"),
+        # finite values whose step count or prediction span overflows
+        ("mini", "duration", 1e308, "duration"),
+        ("mini", "replan_period", 1e-320, "replan_period"),
+        ("mini", "horizon", 1e308, "horizon"),
+        ("mini", "search_horizon", 1e308, "search_horizon"),
+        ("mini", "search.horizon_slack", 1e308, "search.horizon_slack"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -252,18 +271,37 @@ class TestRunCommand:
 
     def test_dump_flags(self, mini_path, tmp_path):
         out = tmp_path / "out"
-        opt_trace = tmp_path / "opt.csv"
-        search_trace = tmp_path / "search.csv"
         code = main(["run", "--scenario", mini_path, "--out", str(out),
-                     "--dump-costs", "--opt-trace", str(opt_trace),
-                     "--search-trace", str(search_trace)])
+                     "--planner-traces"])
         assert code == 0
         costs = json.loads((out / "costs.json").read_text())
         assert costs and {"t", "costs"} <= set(costs[0])
         assert set(costs[0]["costs"]) >= {"J_do", "J_oe", "total"}
-        header = opt_trace.read_text().splitlines()[0]
-        assert header.startswith("t,iteration,J_do")
-        assert search_trace.read_text().splitlines()[0].startswith("t,x,y,z")
+        opt_trace = (out / "opt_trace.csv").read_text().splitlines()
+        assert opt_trace[0].startswith("t,iteration,J_do") and opt_trace[1:]
+        search_trace = (out / "search_trace.csv").read_text().splitlines()
+        assert search_trace[0].startswith("t,x,y,z") and search_trace[1:]
+
+    def test_traced_run_that_never_replans(self, never_replans, tmp_path):
+        """The trace files hold no record, and each CSV keeps its
+        header."""
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", never_replans, "--out", str(out),
+                     "--planner-traces"]) == 0
+        assert (out / "costs.json").read_text() == "[]\n"
+        columns = [term.column for term in TERMS] + ["total"]
+        assert (out / "opt_trace.csv").read_text() == \
+            "t,iteration," + ",".join(columns) + "\n"
+        assert (out / "search_trace.csv").read_text() == \
+            "t,x,y,z,vx,vy,vz,cost\n"
+
+    def test_unwritable_out_exits_2(self, never_replans, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--scenario", never_replans,
+                     "--out", str(blocker / "out"), "--planner-traces"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("visiplan: io error")
 
 
 class TestBenchCommand:
@@ -290,6 +328,14 @@ class TestBenchCommand:
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("seed,mode,failure_time")
+
+    def test_unwritable_summary_exits_2(self, mini_path, tmp_path, capsys):
+        out = tmp_path / "bench"
+        (out / "summary.csv").mkdir(parents=True)
+        code = main(["bench", "--scenario", mini_path, "--out", str(out),
+                     "--seeds", ""])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("visiplan: io error")
 
     def test_bad_template_aborts(self, tmp_path):
         code = main(["bench", "--scenario", str(tmp_path / "no.json"),
@@ -348,8 +394,7 @@ def test_run_writes_the_same_bytes_under_two_blas_threads(mini_path,
         out = tmp_path / f"blas{threads}"
         done = subprocess.run(
             [sys.executable, "-m", "visiplan.cli", "run", "--scenario",
-             mini_path, "--out", str(out), "--opt-trace", str(out / "opt.csv"),
-             "--search-trace", str(out / "search.csv")],
+             mini_path, "--out", str(out), "--planner-traces"],
             env=_subprocess_env(OPENBLAS_NUM_THREADS=threads,
                                 OMP_NUM_THREADS=threads),
             capture_output=True, text=True, timeout=300)
@@ -357,7 +402,8 @@ def test_run_writes_the_same_bytes_under_two_blas_threads(mini_path,
         written.append({path.name: path.read_bytes()
                         for path in out.iterdir()})
     assert set(written[0]) == {"report.json", "trace.csv", "heatmap.csv",
-                               "opt.csv", "search.csv"}
+                               "costs.json", "opt_trace.csv",
+                               "search_trace.csv"}
     assert written[0] == written[1]
 
 

@@ -240,8 +240,9 @@ def scenario(name, mode, seed=None, duration=None) -> Scenario:
 def traces(report: RunReport):
     """The reference's three trace lists, built from the replan records:
     expanded search nodes, optimizer costs per iteration, final costs."""
-    optimized = [r for r in report.replans if r.result is not None]
-    return ([node for r in report.replans for node in r.expanded],
+    replans = report.replans or []
+    optimized = [r for r in replans if r.result is not None]
+    return ([node for r in replans for node in r.expanded],
             [(r.t, r.result.trace) for r in optimized],
             [(r.t, r.result.final_report.term_values()) for r in optimized])
 

@@ -139,8 +139,7 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
     params = _config(VisibilityParams, raw, "params")
     weights = _config(CostWeights, raw, "weights")
     search_cfg = _config(SearchConfig, raw, "search")
-    opt_cfg = _config(OptimizerConfig, raw, "optimizer",
-                      {"max_iterations": 30})
+    opt_cfg = _config(OptimizerConfig, raw, "optimizer")
 
     grid = _reference_load_map(_require(raw, "map", "scenario"), base_dir, eff_seed, raw)
     d_trunc = _number(raw, "d_trunc", "scenario", 5.0)

@@ -71,7 +71,7 @@ class TestEvaluate:
     def test_derivatives_match_deboor(self):
         rng = np.random.default_rng(6)
         traj = random_traj(rng, n=9, dt=0.35)
-        for order in (1, 2, 3):
+        for order in (1, 2):
             spl = deboor_curve(traj.q, traj.dt).derivative(order)
             for t in rng.uniform(0, traj.duration(), size=10):
                 v, _ = traj.evaluate_derivative(t, order)
