@@ -85,10 +85,10 @@ def cmd_bench(args) -> int:
     outdir = Path(args.out)
     jobs = [(args.scenario, seed, mode, str(outdir / f"seed{seed}_{mode}"))
             for seed in seeds for mode in modes]
-    # every run loads before the first flies, so that a malformed seed or
-    # template writes nothing
-    for path, seed, mode, _ in jobs:
-        load_scenario(path, mode=mode, seed=seed)
+    # every seed loads before the first run flies, so that a malformed seed
+    # or template writes nothing; a scenario loads alike in either mode
+    for seed in seeds:
+        load_scenario(args.scenario, seed=seed)
     outdir.mkdir(parents=True, exist_ok=True)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

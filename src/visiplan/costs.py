@@ -358,11 +358,9 @@ def weighted_terms(traj, target, esdf, params, weights, limits):
 
 def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
                params: VisibilityParams, weights: CostWeights,
-               limits: DynamicLimits, fix_boundary: bool = True) -> CostReport:
-    """Weighted sum of all terms. With fix_boundary the first three position
-    and yaw control points carry zero gradient (they encode the current
-    robot state and are held fixed by the optimizer).
-    """
+               limits: DynamicLimits) -> CostReport:
+    """Weighted sum of all terms, with the gradient over every position and
+    yaw control point."""
     n = traj.num_control_points
     grad_q = np.zeros((n, 3))
     grad_phi = np.zeros(n)
@@ -372,10 +370,6 @@ def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         vals[term.name] = v
         grad_q += w * gq
         grad_phi += w * gp
-
-    if fix_boundary:
-        grad_q[:3] = 0.0
-        grad_phi[:3] = 0.0
 
     total = sum(getattr(weights, t.weight) * vals[t.name] for t in TERMS)
     return CostReport(vals, float(total), grad_q, grad_phi)

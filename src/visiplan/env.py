@@ -13,7 +13,6 @@ consistent with the interpolated values.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -226,26 +225,10 @@ def require_valid_fields(config, nonnegative=()) -> None:
             setattr(config, f.name, int(value))
 
 
-def load_grid(path, resolution: float | None = None,
-              origin=None) -> OccupancyGrid:
-    """Load a grid from JSON, which sets its own resolution and origin, or
-    from an ASCII raster, which needs a `resolution` (origin default 0); a
-    FieldError that is no GridError names an argument the file refuses."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        for name, value in (("resolution", resolution), ("origin", origin)):
-            if value is not None:
-                raise FieldError(f"the JSON grid {path} sets its own {name}, "
-                                 f"got {value!r}", name)
-        try:
-            return OccupancyGrid.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise GridError(f"malformed grid JSON in {path}: {e}") from e
-    if resolution is None:
-        raise FieldError(f"the ASCII grid {path} needs a resolution",
-                         "resolution")
-    return OccupancyGrid.from_ascii(
-        text, resolution, (0.0, 0.0, 0.0) if origin is None else origin)
+def load_grid(path, resolution: float,
+              origin=(0.0, 0.0, 0.0)) -> OccupancyGrid:
+    """Load an ASCII raster grid (see `OccupancyGrid.from_ascii`)."""
+    return OccupancyGrid.from_ascii(Path(path).read_text(), resolution, origin)
 
 
 @dataclass

@@ -114,14 +114,13 @@ def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
 
 
 def predict_track(model: PredictionModel, times) -> TargetTrack:
-    """Evaluate the model at the given times (must be >= the fit anchor).
+    """Evaluate the model at the given times (nonempty, each >= the fit
+    anchor).
 
     Beyond the speed bound or the validity horizon the track continues at
     the capped constant velocity.
     """
     times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        return TargetTrack(np.zeros((0, 3)))
     t_max = float(times.max())
     horizon_end = model.t_ref + model.horizon
     t_sat = _saturation_time(model, min(t_max, horizon_end))

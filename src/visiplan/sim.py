@@ -349,7 +349,7 @@ def _read(d, section: str, rows) -> SimpleNamespace:
         if key in d:
             value = kind(d[key], prefix + key)
         elif default is _REQUIRED:
-            raise ScenarioError(f"scenario missing field '{key}' in {section}")
+            raise ScenarioError(f"scenario missing field '{prefix}{key}'")
         else:
             value = default if default is None else kind(default, prefix + key)
         setattr(values, key, value)
@@ -388,10 +388,10 @@ _NONNEGATIVE = _number(least=0)
 _POINT = _array((3,), "a list of 3 numbers")
 _CONE_DEG = _number(above=0, below=180)     # a full FOV angle in degrees
 
-# the kinds of map and of target, each told by its first key; the grid
-# code checks an inline grid, and a grid file's resolution and origin
-_GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE, None),
-              _Row("origin", _POINT, None))
+# the kinds of map and of target, each told by its first key; a map file
+# is an ASCII raster, and the grid code checks an inline grid
+_GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE),
+              _Row("origin", _POINT, (0.0, 0.0, 0.0)))
 _FOREST = (_Row("generator", _section(
     _Row("area", _array((2,), "a list of 2 positive numbers")),
     _Row("count", _number(int, least=0)),
@@ -818,9 +818,6 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
         fov = (not occluded) and _cone_contains(
             state.p, state.yaw, target_p, sc.fov_h_half, sc.fov_v_half)
 
-        prev_occluded = report.steps[-1].occluded if report.steps else False
-        if occluded and not prev_occluded:
-            report.occlusion_events += 1
         report.steps.append(StepRecord(t, state.p.copy(), state.yaw,
                                        target_p.copy(), d, psi_err, fov,
                                        occluded))
@@ -833,8 +830,11 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
                      2 * half_bins - 1)
             report.heatmap[ix, iy] += 1
         else:
+            # every earlier step saw the target, so at most this one is
+            # occluded
             report.termination = "target_lost"
             report.failure_time = t
+            report.occlusion_events = int(occluded)
             break
 
         history.push(t, target_p)

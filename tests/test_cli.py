@@ -12,7 +12,7 @@ import pytest
 import visiplan
 from visiplan.cli import main
 from visiplan.costs import TERMS
-from visiplan.sim import bundled_scenario, load_scenario
+from visiplan.sim import bundled_scenario
 
 
 @pytest.fixture(scope="module")
@@ -228,26 +228,6 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("key, value", [
-        ("resolution", 0.5), ("origin", [5, 5, 0])])
-    def test_json_grid_file_takes_no_resolution_or_origin(
-            self, tmp_path, capsys, key, value):
-        """A JSON grid file carries its own resolution and origin, so a
-        scenario that sets either exits 2 naming it."""
-        raw = json.loads(bundled_scenario("mini").read_text())
-        (tmp_path / "grid.json").write_text(json.dumps(raw["map"]))
-        raw["map"] = {"file": "grid.json"}
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(raw))
-        load_scenario(scenario)
-        raw["map"][key] = value
-        scenario.write_text(json.dumps(raw))
-        code = main(["run", "--scenario", str(scenario),
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"'map.{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_option_exits_2(self, mini_path, tmp_path, capsys):

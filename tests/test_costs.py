@@ -419,15 +419,6 @@ class TestTotalCost:
         rep = total_cost(traj, track, field, PARAMS, w, LIMITS)
         assert rep.total == pytest.approx(cost_smoothness(traj)[0])
 
-    def test_boundary_gradients_zeroed(self):
-        rng = np.random.default_rng(14)
-        traj = make_traj(rng)
-        track = make_track(rng, traj, dist=1.5)
-        field = make_field(rng)
-        rep = total_cost(traj, track, field, PARAMS, CostWeights(), LIMITS)
-        assert np.all(rep.grad_q[:3] == 0.0)
-        assert np.all(rep.grad_phi[:3] == 0.0)
-
     def test_gradient_fd_free_points(self):
         rng = np.random.default_rng(15)
         field = make_field(rng, p_occ=0.05, d_trunc=3.0)
@@ -443,12 +434,12 @@ class TestTotalCost:
             rep = total_cost(traj, track, field, PARAMS, weights, LIMITS)
 
             def total_of(t):
-                return total_cost(t, track, field, PARAMS, weights, LIMITS,
-                                  fix_boundary=False).total
+                return total_cost(t, track, field, PARAMS, weights,
+                                  LIMITS).total
 
             fq, fphi = fd_gradient(total_of, traj, h=1e-5)
-            assert_grad_close(rep.grad_q[3:], fq[3:], rel=1e-3)
-            assert_grad_close(rep.grad_phi[3:], fphi[3:], rel=1e-3)
+            assert_grad_close(rep.grad_q, fq, rel=1e-3)
+            assert_grad_close(rep.grad_phi, fphi, rel=1e-3)
             checked += 1
 
     def test_report_serializes(self):
@@ -504,7 +495,6 @@ class TestInvariances:
         q = np.tile([2.0, 2.0, 0.0], (6, 1))
         track = TargetTrack(np.tile([5.0, 2.0, 0.0], (4, 1)))
         traj = TrajectoryBSpline(0.5, q, np.zeros(6))
-        rep = total_cost(traj, track, field, PARAMS, CostWeights(), LIMITS,
-                         fix_boundary=False)
+        rep = total_cost(traj, track, field, PARAMS, CostWeights(), LIMITS)
         assert rep.total == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(rep.grad_q, 0.0) and np.allclose(rep.grad_phi, 0.0)
