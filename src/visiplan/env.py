@@ -204,20 +204,17 @@ def is_number(value, kind) -> bool:
 
 def require_valid_fields(config, nonnegative=()) -> None:
     """FieldError naming the first field of the config dataclass `config`
-    whose value does not fit its annotation: a `bool` field holds True or
-    False, an `int` field a positive integral number and a `float` field a
-    finite positive one, where a field named in `nonnegative` may be 0. An
-    `int` field's integral float (20.0) is stored as the int it equals."""
+    whose value does not fit its annotation: an `int` field holds a positive
+    integral number and a `float` field a finite positive one, where a field
+    named in `nonnegative` may be 0. An `int` field's integral float (20.0)
+    is stored as the int it equals."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "bool":
-            what, ok = "true or false", isinstance(value, bool)
-        else:
-            sign = "nonnegative" if f.name in nonnegative else "positive"
-            what = f"a {sign} integer" if f.type == "int" \
-                else f"a finite {sign} number"
-            ok = is_number(value, int if f.type == "int" else float) and (
-                value >= 0 if f.name in nonnegative else value > 0)
+        sign = "nonnegative" if f.name in nonnegative else "positive"
+        what = f"a {sign} integer" if f.type == "int" \
+            else f"a finite {sign} number"
+        ok = is_number(value, int if f.type == "int" else float) and (
+            value >= 0 if f.name in nonnegative else value > 0)
         if not ok:
             raise FieldError(f"{f.name} must be {what}, got {value!r}",
                              f.name)

@@ -33,6 +33,17 @@ class PredictionModel:
     t_ref: float
     horizon: float
     v_max: float
+    # where the forecast saturates: its time, position and capped velocity
+    t_sat: float = field(init=False)
+    p_sat: np.ndarray = field(init=False, repr=False)
+    v_sat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.t_sat = _saturation_time(self)
+        self.p_sat = self.position(self.t_sat)
+        v = self.velocity(self.t_sat)
+        speed = np.linalg.norm(v)
+        self.v_sat = v / speed * self.v_max if speed > self.v_max else v
 
     def position(self, t: float) -> np.ndarray:
         s = t - self.t_ref
@@ -100,43 +111,32 @@ def _ridge_polyfit(s: np.ndarray, y: np.ndarray, degree: int, ridge: float):
     return coeffs
 
 
-def _saturation_time(model: PredictionModel, t_end: float) -> float | None:
-    """First forecast time, on a `SPEED_PROBE_DT` grid, at which fitted
-    speed exceeds the bound."""
+def _saturation_time(model: PredictionModel) -> float:
+    """First forecast time, on a `SPEED_PROBE_DT` grid up to the validity
+    horizon, at which fitted speed exceeds the bound; the horizon's end if
+    none does."""
+    t_end = model.t_ref + model.horizon
     s = np.arange(0.0, t_end - model.t_ref + SPEED_PROBE_DT, SPEED_PROBE_DT)
     k = np.arange(1, model.degree + 1)
     dbasis = k[None, :] * s[:, None] ** (k - 1)[None, :]
     speeds = np.linalg.norm(dbasis @ model.coeffs[1:], axis=1)
     over = np.nonzero(speeds > model.v_max)[0]
     if over.size == 0:
-        return None
+        return t_end
     return float(model.t_ref + s[over[0]])
 
 
 def predict_track(model: PredictionModel, times) -> TargetTrack:
-    """Evaluate the model at the given times (nonempty, each >= the fit
-    anchor).
+    """Evaluate the model at the given times (each >= the fit anchor).
 
     Beyond the speed bound or the validity horizon the track continues at
-    the capped constant velocity.
+    the capped constant velocity, so each row depends on its own time only.
     """
     times = np.asarray(times, dtype=np.float64)
-    t_max = float(times.max())
-    horizon_end = model.t_ref + model.horizon
-    t_sat = _saturation_time(model, min(t_max, horizon_end))
-    if t_sat is None and t_max > horizon_end:
-        t_sat = horizon_end
-
-    if t_sat is not None:
-        p_sat = model.position(t_sat)
-        v_sat = model.velocity(t_sat)
-        speed = np.linalg.norm(v_sat)
-        if speed > model.v_max:
-            v_sat = v_sat / speed * model.v_max
     out = np.zeros((times.size, 3))
     for i, t in enumerate(times):
-        if t_sat is None or t <= t_sat:
+        if t <= model.t_sat:
             out[i] = model.position(float(t))
         else:
-            out[i] = p_sat + v_sat * (t - t_sat)
+            out[i] = model.p_sat + model.v_sat * (t - model.t_sat)
     return TargetTrack(out)

@@ -54,9 +54,6 @@ class SearchConfig:
     # extra cost per primitive at full acceleration, as a fraction of tau;
     # keeps equal-duration paths ordered by control effort
     effort_weight: float = 0.1
-    # reject successors that lose the line of sight to the target; the
-    # visibility-blind baseline turns this off
-    occlusion_check: bool = True
 
     def __post_init__(self):
         require_valid_fields(self, nonnegative=("heuristic_weight",
@@ -279,7 +276,8 @@ def _clearance_certificate(esdf: ESDFField, clearance: float,
 
 def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
            limits: DynamicLimits, config: SearchConfig, horizon: float, *,
-           standoff: float, trace: list | None = None):
+           standoff: float, occlusion_check: bool = True,
+           trace: list | None = None):
     """Plan a feasible, occlusion-free primitive path toward the target.
 
     start_state carries .p and .v; target_at(t) gives the predicted target
@@ -292,7 +290,8 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     A successor that would lose an already-acquired line of sight to the
     target is rejected. When the start itself has no line of sight, a blind
     prefix is tolerated until sight is first acquired; the goal always
-    requires sight.
+    requires sight. `occlusion_check=False` (the visibility-blind baseline)
+    drops every sight rule.
 
     `esdf` must be a distance field such as `build_esdf` makes: clearance
     queries the field can be proven to pass are skipped, and the proof
@@ -348,7 +347,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     clear_within = _clearance_certificate(
         esdf, clearance,
         0.5 * tau * tau * float(np.sqrt((accels ** 2).sum(axis=1)).max()))
-    if config.occlusion_check:
+    if occlusion_check:
         sight_clear = _sight_certificate(grid)
 
     def in_goal(p, t) -> bool:
@@ -381,8 +380,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     n0 = np.linalg.norm(u0)
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
-    sighted0 = not config.occlusion_check or \
-        not raycast_occluded(grid, p0, c0)
+    sighted0 = not occlusion_check or not raycast_occluded(grid, p0, c0)
     root = SearchNode(p0.tolist(), v0.tolist(), 0.0, 0.0, sighted=sighted0)
     counter = itertools.count()
     root_key = (*(round(x * inv_prune) for x in root.position),
@@ -427,8 +425,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             depth = depths[t_next] = (
                 int(round(t_next / tau)), (c_next + standoff * u0).tolist(),
                 c_row, grid.cell_of(c_row),
-                _buried_certificate(grid, c_row) if config.occlusion_check
-                else None)
+                _buried_certificate(grid, c_row) if occlusion_check else None)
         layer, (fx, fy, fz), c_row, c_cell, hit = depth
         # a sighted node loses every successor whose ray is surely occluded,
         # whatever else would reject it
@@ -479,7 +476,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         for idx, (i, p, v, dev, g_new, row) in enumerate(live):
             if dist is not None and dist[idx] <= clearance:
                 continue
-            if config.occlusion_check:
+            if occlusion_check:
                 occluded = (hit is not None and hit(p)) or (
                     not sight_clear(p, c_cell)
                     and raycast_occluded(grid, p, c_row))

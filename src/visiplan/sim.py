@@ -15,14 +15,14 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .costs import (TERMS, CostWeights, DynamicLimits, TargetTrack,
-                    VisibilityParams)
+from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
+                    TargetTrack, VisibilityParams)
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
@@ -680,14 +680,13 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
                         for row in report.heatmap],
     }
     if report.replans is not None:
-        optimized = [r for r in report.replans if r.result is not None]
+        optimized = [r for r in report.replans if r.costs is not None]
         columns = [t.column for t in TERMS] + ["total"]
         files["costs.json"] = [dumps_canonical(
-            [{"t": r.t, "costs": r.result.final_report.term_values()}
-             for r in optimized])]
+            [{"t": r.t, "costs": r.costs} for r in optimized])]
         files["opt_trace.csv"] = ["t,iteration," + ",".join(columns)] + [
             f"{r.t:.17g},{it}," + _floats(vals[k] for k in columns)
-            for r in optimized for it, vals in r.result.trace]
+            for r in optimized for it, vals in r.trace]
         files["search_trace.csv"] = ["t,x,y,z,vx,vy,vz,cost"] + [
             _floats(node) for r in report.replans for node in r.expanded]
     paths = {}
@@ -702,9 +701,10 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
 
 
 # one replan cycle: its time, the rows of the nodes its search expanded
-# (empty when the last path was reused) and the optimizer's result (None when
-# the search failed)
-Replan = namedtuple("Replan", "t expanded result")
+# (empty when the last path was reused), and the optimizer's term values per
+# accepted iterate (`OptimizeResult.trace`) and at its result; both None
+# when the search failed
+Replan = namedtuple("Replan", "t expanded trace costs")
 
 
 class Planner:
@@ -723,13 +723,12 @@ class Planner:
         self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
         self.weights = sc.effective_weights()
         # visibility-blind: the front end stops rejecting sight-losing nodes
-        self.search_config = sc.search_config if sc.mode != "baseline" \
-            else replace(sc.search_config, occlusion_check=False)
+        self.occlusion_check = sc.mode != "baseline"
         self.held_path = None   # (abs_points, abs_times) of the last search
 
-    def replan(self, t: float, state: RobotState,
-               history: HistoryBuffer) -> Replan:
-        """The cycle at time `t` from `state`."""
+    def replan(self, t: float, state: RobotState, history: HistoryBuffer):
+        """The cycle at time `t` from `state`: the optimized trajectory
+        (None when the search failed) and the cycle's `Replan` record."""
         sc = self.scenario
         model = fit(history.snapshot(), degree=sc.predict_degree,
                     ridge=sc.predict_ridge, window=sc.predict_window,
@@ -745,21 +744,22 @@ class Planner:
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _revalidate_path(self.held_path, t, state, target_at,
                                   sc.grid, sc.esdf, sc.limits,
-                                  self.search_config, sc.search_horizon,
+                                  self.occlusion_check, sc.search_horizon,
                                   self.standoff)
         if reused is not None:
             pts, times = reused
         else:
             try:
                 pts, times = search(state, target_at, sc.grid, sc.esdf,
-                                    sc.limits, self.search_config,
+                                    sc.limits, sc.search_config,
                                     horizon=sc.search_horizon,
                                     standoff=self.standoff,
+                                    occlusion_check=self.occlusion_check,
                                     trace=expanded)
                 self.held_path = (pts + 0.0, times + t)
             except SearchError:
                 self.held_path = None
-                return Replan(t, expanded, None)
+                return None, Replan(t, expanded, None, None)
 
         if sc.mode == "baseline":
             yaw_targets = None
@@ -767,7 +767,7 @@ class Planner:
             future = predict_track(model, t + times).c
             look = future - pts
             yaw_targets = np.arctan2(look[:, 1], look[:, 0])
-            hdeg = np.hypot(look[:, 0], look[:, 1]) < 1e-6
+            hdeg = np.hypot(look[:, 0], look[:, 1]) < DEGENERATE_EPS
             yaw_targets[hdeg] = state.yaw
 
         seed_traj = initialize_from_path(pts, times, state, self.dt_knot,
@@ -777,7 +777,8 @@ class Planner:
         track = TargetTrack(track_all.c[:2 * sc.num_control_points - 5:2])
         result = optimize(seed_traj, track, sc.esdf, sc.params, self.weights,
                           sc.limits, sc.optimizer_config)
-        return Replan(t, expanded, result)
+        return result.trajectory, Replan(
+            t, expanded, result.trace, result.final_report.term_values())
 
 
 # ---------------------------------------------------------------------------
@@ -842,12 +843,11 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
             break
 
         t_wall = time.perf_counter()
-        cycle = planner.replan(t, state, history)
+        traj, cycle = planner.replan(t, state, history)
         report.replan_times.append(time.perf_counter() - t_wall)
         if report.replans is not None:
             report.replans.append(cycle)
-        traj = cycle.result.trajectory if cycle.result is not None else None
-        del cycle   # untraced, the record is freed before the next cycle
+        del cycle   # untraced, its search rows go before the next cycle
         if traj is not None:
             committed = (traj, t)
         elif committed is None:
@@ -861,8 +861,8 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     return report
 
 
-def _revalidate_path(held, t, state, target_at, grid, esdf, limits, cfg,
-                     horizon, standoff):
+def _revalidate_path(held, t, state, target_at, grid, esdf, limits,
+                     occlusion_check, horizon, standoff):
     """Check the previous search path against the fresh prediction; returns
     relative (points, times) when it still serves, else None."""
     if held is None:
@@ -885,7 +885,7 @@ def _revalidate_path(held, t, state, target_at, grid, esdf, limits, cfg,
         return None
     if np.min(esdf.distance_at(pts)) <= limits.d_thr / 2.0:
         return None
-    if cfg.occlusion_check:
+    if occlusion_check:
         for p, s in zip(pts, times):
             if raycast_occluded(grid, p, np.asarray(target_at(s), float)):
                 return None

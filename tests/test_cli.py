@@ -90,14 +90,16 @@ class TestRunCommand:
         ("optimizer", "max_iterations", math.nan, "max_iterations"),
         (None, "num_control_points", math.inf, "num_control_points"),
         ("predict", "ridge", -math.inf, "predict.ridge"),
-        # integer fields hold integral numbers, boolean fields true or false
+        # integer fields hold integral numbers, and no field is a boolean
         (None, "num_control_points", 33.9, "num_control_points"),
         ("optimizer", "max_iterations", 2.5, "max_iterations"),
         ("search", "max_expansions", 10.5, "max_expansions"),
         ("search", "max_expansions", True, "max_expansions"),
         ("params", "m_balls", 2.5, "m_balls"),
-        ("search", "occlusion_check", "no", "occlusion_check"),
         # deleted settings are unknown fields
+        ("search", "occlusion_check", "no", "occlusion_check"),
+        ("search", "occlusion_check", 1, "search.occlusion_check"),
+        ("search", "occlusion_check", False, "search.occlusion_check"),
         ("search", "guided", True, "search.guided"),
         ("optimizer", "wall_clock_budget", None,
          "optimizer.wall_clock_budget"),
@@ -119,7 +121,6 @@ class TestRunCommand:
         ("search", "horizon_slack", -1, "search.horizon_slack"),
         ("search", "horizon_slack", 0.5, "search.horizon_slack"),
         ("search", "effort_weight", -0.1, "search.effort_weight"),
-        ("search", "occlusion_check", 1, "search.occlusion_check"),
         ("params", "od_max", 2.0, "params.od_max"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,

@@ -144,7 +144,9 @@ class TestHistoryBuffer:
 def test_knot_track_is_every_second_half_knot_row(data):
     """The planner hands the optimizer every second row of the half-knot
     track the search reads; that slice is the track at the knot times bit
-    for bit, for models that saturate before the horizon or never."""
+    for bit, for models that saturate before the horizon or never. Every
+    row of the planner's other query, the yaw targets at a path's times,
+    is the one-row track at its time bit for bit."""
     n = data.draw(st.integers(4, 60), label="num_control_points")
     horizon = data.draw(st.floats(0.3, 8.0), label="horizon")
     sc = replace(
@@ -168,3 +170,18 @@ def test_knot_track_is_every_second_half_knot_row(data):
     sliced = half_knots.c[:2 * n - 5:2]
     assert sliced.shape == knots.c.shape
     assert sliced.tobytes() == knots.c.tobytes()
+
+    # a searched path's times, on the tau lattice as the search adds them
+    # up, and a revalidated path's: a path searched some cycles earlier,
+    # less its near-term nodes, from the current time
+    cfg = sc.search_config
+    path = [0.0]
+    while path[-1] + cfg.tau <= cfg.horizon_slack * sc.search_horizon:
+        path.append(path[-1] + cfg.tau)
+    held = np.array(path) + (t - data.draw(st.integers(1, 10), label="lag")
+                             * sc.replan_period)
+    revalidated = np.concatenate([[0.0], held[held >= t + 0.35] - t])
+    for times in (np.array(path), revalidated):
+        rows = predict_track(model, t + times).c
+        for s, row in zip(t + times, rows):
+            assert row.tobytes() == predict_track(model, [s]).c[0].tobytes()

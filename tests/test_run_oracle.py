@@ -1,20 +1,20 @@
 """Oracle tests: `run` against the simulator loop it replaced.
 
 `reference_run` is `run` as it was before the replan pipeline moved into
-`Planner`, kept verbatim (only renamed, and without the pose noise of the
-since deleted `pose_noise_sigma`, which no scenario set) together with its
-path check and rotation helper; `reference_config_echo` is the scenario echo
-as it was before the weight keys came from the cost-term table. The
-simulator must record the same steps, report and traces bit for bit, in
-both modes. The reference keeps its three trace lists beside the report;
-the simulator's are built from its replan records.
+`Planner`, kept verbatim (only renamed, without the pose noise of the since
+deleted `pose_noise_sigma`, which no scenario set, and passing the
+occlusion check as a flag, which the search config no longer holds)
+together with its path check and rotation helper; `reference_config_echo`
+is the scenario echo as it was before the weight keys came from the
+cost-term table. The simulator must record the same steps, report and
+traces bit for bit, in both modes. The reference keeps its three trace
+lists beside the report; the simulator's are built from its replan records.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,9 +65,8 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
     standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
     weights = sc.effective_weights()
     search_cfg = sc.search_config
-    if sc.mode == "baseline":
-        # visibility-blind: the front-end stops rejecting sight-losing nodes
-        search_cfg = replace(search_cfg, occlusion_check=False)
+    # visibility-blind: the front-end stops rejecting sight-losing nodes
+    occlusion_check = sc.mode != "baseline"
     half_bins = report.heatmap.shape[0] // 2
 
     committed = None        # (trajectory, start time)
@@ -143,7 +142,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
         # the previous front-end path usually still checks out against the
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _reference_revalidate_path(held_path, t, state, target_at, sc.grid,
-                                  esdf, sc.limits, search_cfg, s_horizon,
+                                  esdf, sc.limits, occlusion_check, s_horizon,
                                   standoff)
         if reused is not None:
             pts, times = reused
@@ -152,6 +151,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
                 pts, times = search(state, target_at, sc.grid, esdf,
                                     sc.limits, search_cfg, horizon=s_horizon,
                                     standoff=standoff,
+                                    occlusion_check=occlusion_check,
                                     trace=search_trace
                                     if collect_traces else None)
                 held_path = (pts + 0.0, times + t)
@@ -191,7 +191,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
 
 
 def _reference_revalidate_path(held, t, state, target_at, grid, esdf,
-                               limits, cfg, horizon, standoff):
+                               limits, occlusion_check, horizon, standoff):
     """Check the previous search path against the fresh prediction; returns
     relative (points, times) when it still serves, else None."""
     if held is None:
@@ -214,7 +214,7 @@ def _reference_revalidate_path(held, t, state, target_at, grid, esdf,
         return None
     if np.min(esdf.distance_at(pts)) <= limits.d_thr / 2.0:
         return None
-    if cfg.occlusion_check:
+    if occlusion_check:
         for p, s in zip(pts, times):
             if raycast_occluded(grid, p, np.asarray(target_at(s), float)):
                 return None
@@ -241,10 +241,10 @@ def traces(report: RunReport):
     """The reference's three trace lists, built from the replan records:
     expanded search nodes, optimizer costs per iteration, final costs."""
     replans = report.replans or []
-    optimized = [r for r in replans if r.result is not None]
+    optimized = [r for r in replans if r.costs is not None]
     return ([node for r in replans for node in r.expanded],
-            [(r.t, r.result.trace) for r in optimized],
-            [(r.t, r.result.final_report.term_values()) for r in optimized])
+            [(r.t, r.trace) for r in optimized],
+            [(r.t, r.costs) for r in optimized])
 
 
 def recorded(report: RunReport, trace_lists) -> str:

@@ -2,8 +2,9 @@
 
 `reference_search` is the search as it was before successors moved to
 Python floats and before the line-of-sight and clearance certificates, kept
-verbatim (only renamed, with its own node record, and without the unguided
-heuristic the search no longer has). The lean search must
+verbatim (only renamed, with its own node record, without the unguided
+heuristic the search no longer has, and taking the occlusion check as a
+keyword, as `search` does). The lean search must
 return the same bits, expand the same nodes in the same order, and fail with
 the same exception type, with the occlusion check on and off, from sighted
 and unsighted starts, and under budgets that run out.
@@ -54,6 +55,7 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
                      esdf: ESDFField, limits: DynamicLimits,
                      config: SearchConfig | None = None,
                      horizon: float = 3.0, *, standoff: float,
+                     occlusion_check: bool = True,
                      trace: list | None = None):
     """The front end as it was before its certificates: numpy successor
     batches, every clearance query and every raycast."""
@@ -130,7 +132,7 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
     n0 = np.linalg.norm(u0)
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
-    sighted0 = not cfg.occlusion_check or \
+    sighted0 = not occlusion_check or \
         not raycast_occluded(grid, p0, c0)
     root = _Node(p0, v0, 0.0, 0.0, sighted=sighted0)
     counter = itertools.count()
@@ -208,7 +210,7 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
             if dist[idx] <= clearance:
                 continue
             g_new = g_batch[i]
-            if cfg.occlusion_check:
+            if occlusion_check:
                 occluded = raycast_occluded(grid, p_rows[i], c_row)
                 if node.sighted and occluded:
                     continue
@@ -325,11 +327,11 @@ def scenes(draw, planar: bool, sight: str):
 
 def outcome(fn, scene, occlusion_check: bool):
     grid, esdf, start, target_at, cfg, horizon, standoff = scene
-    cfg = SearchConfig(**{**cfg.__dict__, "occlusion_check": occlusion_check})
     rows = []
     try:
         result = fn(start, target_at, grid, esdf, LIMITS, cfg,
-                    horizon=horizon, standoff=standoff, trace=rows)
+                    horizon=horizon, standoff=standoff,
+                    occlusion_check=occlusion_check, trace=rows)
     except SearchError as e:
         result = type(e)
     return result, np.array(rows, dtype=np.float64)
