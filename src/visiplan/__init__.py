@@ -10,7 +10,7 @@ from .optimizer import (NumericError, OptimizeResult, OptimizerConfig,
                         Termination, optimize)
 from .predict import (HistoryBuffer, PredictionModel, TargetObservation, fit,
                       predict_track)
-from .search import (InvalidStart, SearchConfig, SearchExhausted, SearchNode,
+from .search import (InvalidStart, SearchConfig, SearchExhausted,
                      raycast_occluded, search)
 from .sim import (Planner, RunReport, Scenario, generate_random_forest,
                   load_scenario, run, write_outputs)

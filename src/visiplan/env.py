@@ -103,8 +103,10 @@ class OccupancyGrid:
         if kept is None or not np.array_equal(kept[0], self.occupancy):
             nx, ny, nz = self.dims
             table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
-            table[1:, 1:, 1:] = self.occupancy.cumsum(0, dtype=np.int32) \
-                .cumsum(1).cumsum(2)
+            inner = table[1:, 1:, 1:]   # summed in place: no temporaries
+            np.cumsum(self.occupancy, 0, dtype=np.int32, out=inner)
+            np.cumsum(inner, 1, out=inner)
+            np.cumsum(inner, 2, out=inner)
             table.flags.writeable = False
             kept = self._counts = (self.occupancy.copy(), table)
         return kept[1]

@@ -11,8 +11,8 @@ predicted target position at the search horizon.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,9 @@ GOAL_TOLERANCE = 0.5                   # radial slack of the goal annulus
 # coast-now-brake-later prefix and creeps toward the target. Small enough
 # not to distort the search ordering.
 TRACKING_WEIGHT = 0.05
+# floats per search node: position (3), velocity (3), time, cost, accumulated
+# deviation, parent row (-1 for the root), sighted (1.0 or 0.0)
+NODE_ROW = 11
 
 
 @dataclass
@@ -62,25 +65,6 @@ class SearchConfig:
         if not self.horizon_slack >= 1:
             raise FieldError(f"horizon_slack must be at least 1, "
                              f"got {self.horizon_slack!r}", "horizon_slack")
-
-
-@dataclass
-class SearchNode:
-    position: list[float]
-    velocity: list[float]
-    time: float
-    cost: float
-    parent: "SearchNode | None" = None
-    sighted: bool = True      # line of sight acquired somewhere on the path
-    deviation: float = 0.0    # accumulated gap to the follow point (tiebreak)
-
-    def lineage(self) -> list["SearchNode"]:
-        chain = []
-        node = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        return chain[::-1]
 
 
 def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
@@ -298,6 +282,9 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     relies on its lattice values being 1-Lipschitz. Likewise a ray whose
     bounding box holds no occupied cell is not cast, nor one that ends
     inside an occupied cell. None of these shortcuts changes any output.
+
+    A `trace` list receives one row (t, x, y, z, vx, vy, vz, cost) per
+    expansion, in expansion order; with None no rows are built.
     """
     clearance = limits.d_thr / 2.0
     planar = grid.dims[2] == 1
@@ -381,15 +368,16 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
     sighted0 = not occlusion_check or not raycast_occluded(grid, p0, c0)
-    root = SearchNode(p0.tolist(), v0.tolist(), 0.0, 0.0, sighted=sighted0)
-    counter = itertools.count()
-    root_key = (*(round(x * inv_prune) for x in root.position),
-                *(round(x * inv_vq) for x in root.velocity), 0, sighted0)
+    root_p, root_v = tuple(p0.tolist()), tuple(v0.tolist())
+    # node k is row k of `nodes`, pushed k-th; the row number ends each heap
+    # entry, so pops never compare further
+    nodes = array("d", (*root_p, *root_v, 0.0, 0.0, 0.0, -1.0, sighted0))
+    root_key = (*(round(x * inv_prune) for x in root_p),
+                *(round(x * inv_vq) for x in root_v), 0, sighted0)
     # accumulated deviation from the follow point breaks ties among
     # equal-cost frontier nodes, so equal-arrival plans pace the target
     # instead of dashing ahead and waiting
-    open_heap = [(heuristic(root.position, root.velocity, 0.0), 0.0,
-                  root_key, next(counter), root)]
+    open_heap = [(heuristic(root_p, root_v, 0.0), 0.0, root_key, 0)]
     best_g: dict = {root_key: 0.0}
     closed: set = set()
     expansions = 0
@@ -398,26 +386,34 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     depths: dict = {}
 
     while open_heap:
-        _, _, key, _, node = heapq.heappop(open_heap)
+        _, _, key, node = heapq.heappop(open_heap)
         if key in closed:
             continue
         closed.add(key)
+        b = node * NODE_ROW
+        x, y, z, vx, vy, vz, t, cost, deviation, _, sighted = \
+            nodes[b:b + NODE_ROW]
+        sighted = sighted != 0.0
+        pos = (x, y, z)
 
-        if node.sighted and in_goal(node.position, node.time):
-            chain = node.lineage()
-            pts = np.array([n.position for n in chain])
-            times = np.array([n.time for n in chain])
-            return pts, times
+        if sighted and in_goal(pos, t):
+            pts, times = [], []
+            while node >= 0:
+                b = node * NODE_ROW
+                pts.append(nodes[b:b + 3])
+                times.append(nodes[b + 6])
+                node = int(nodes[b + 9])
+            return np.array(pts[::-1]), np.array(times[::-1])
 
         expansions += 1
         if expansions > config.max_expansions:
             break
         if trace is not None:
-            trace.append((node.time, *node.position, *node.velocity, node.cost))
-        if node.time + tau > max_time:
+            trace.append((t, x, y, z, vx, vy, vz, cost))
+        if t + tau > max_time:
             continue
 
-        t_next = node.time + tau
+        t_next = t + tau
         depth = depths.get(t_next)
         if depth is None:
             c_next = np.asarray(target_at(t_next), dtype=np.float64)
@@ -429,12 +425,10 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         layer, (fx, fy, fz), c_row, c_cell, hit = depth
         # a sighted node loses every successor whose ray is surely occluded,
         # whatever else would reject it
-        hit_rejects = hit is not None and node.sighted
+        hit_rejects = hit is not None and sighted
 
         # successors, with the velocity bound and (for a sighted node, whose
         # children stay sighted) the closed/worse prune before any geometry
-        x, y, z = node.position
-        vx, vy, vz = node.velocity
         mx, my, mz = x + vx * tau, y + vy * tau, z + vz * tau
         live = []
         for i, ((tx, ty, tz), (sx, sy, sz), step) in prims:
@@ -446,29 +440,28 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 continue
             dx, dy, dz = nx_ - fx, ny_ - fy, nz_ - fz
             dev = tau * math.sqrt(dx * dx + dy * dy + dz * dz)
-            g_new = node.cost + step + TRACKING_WEIGHT * dev
+            g_new = cost + step + TRACKING_WEIGHT * dev
             row = (round(nx_ * inv_prune), round(ny_ * inv_prune),
                    round(nz_ * inv_prune), round(nvx * inv_vq),
                    round(nvy * inv_vq), round(nvz * inv_vq), layer)
-            if node.sighted:
+            if sighted:
                 k_sighted = (*row, True)
                 prev = best_g.get(k_sighted)
                 if k_sighted in closed or (prev is not None
                                            and prev <= g_new):
                     continue
-            live.append((i, [nx_, ny_, nz_], [nvx, nvy, nvz], dev, g_new,
+            live.append((i, (nx_, ny_, nz_), (nvx, nvy, nvz), dev, g_new,
                          row))
         if not live:
             continue
 
         # clearance along every surviving primitive arc in one field query,
         # unless the node is provably far enough from every obstacle
-        if clear_within(node.position,
-                        math.sqrt(vx * vx + vy * vy + vz * vz) * tau):
+        if clear_within(pos, math.sqrt(vx * vx + vy * vy + vz * vz) * tau):
             dist = None
         else:
-            segs = np.array(node.position) \
-                + np.outer(samp_t, node.velocity)[None, :, :] \
+            segs = np.array(pos) \
+                + np.outer(samp_t, (vx, vy, vz))[None, :, :] \
                 + samp_acc[[s[0] for s in live]]
             dist = esdf.distance_at(segs.reshape(-1, 3))
             dist = dist.reshape(len(live), -1).min(axis=1).tolist()
@@ -480,22 +473,23 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 occluded = (hit is not None and hit(p)) or (
                     not sight_clear(p, c_cell)
                     and raycast_occluded(grid, p, c_row))
-                if node.sighted and occluded:
+                if sighted and occluded:
                     continue
-                sighted = node.sighted or not occluded
+                nsighted = sighted or not occluded
             else:
-                sighted = True
-            nkey = (*row, sighted)
+                nsighted = True
+            nkey = (*row, nsighted)
             if nkey in closed:
                 continue
             prev = best_g.get(nkey)
             if prev is not None and prev <= g_new:
                 continue
             best_g[nkey] = g_new
-            dev_new = node.deviation + dev
-            child = SearchNode(p, v, t_next, g_new, node, sighted, dev_new)
+            dev_new = deviation + dev
             f = g_new + heuristic(p, v, t_next)
-            heapq.heappush(open_heap, (f, dev_new, nkey, next(counter), child))
+            heapq.heappush(open_heap,
+                           (f, dev_new, nkey, len(nodes) // NODE_ROW))
+            nodes.extend((*p, *v, t_next, g_new, dev_new, node, nsighted))
 
     raise SearchExhausted(
         f"no occlusion-free path after {expansions} expansions")

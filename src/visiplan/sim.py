@@ -701,19 +701,21 @@ def write_outputs(report: RunReport, outdir) -> dict[str, Path]:
 
 
 # one replan cycle: its time, the rows of the nodes its search expanded
-# (empty when the last path was reused), and the optimizer's term values per
-# accepted iterate (`OptimizeResult.trace`) and at its result; both None
-# when the search failed
+# (empty when the last path was reused, None when the run is untraced), and
+# the optimizer's term values per accepted iterate (`OptimizeResult.trace`)
+# and at its result; both None when the search failed
 Replan = namedtuple("Replan", "t expanded trace costs")
 
 
 class Planner:
     """The replan pipeline of one run: predict the target, reuse the last
     front-end path or search a new one, fit a seed spline to it and optimize
-    position and yaw. Keeps the path between cycles."""
+    position and yaw. Keeps the path between cycles. Only a `traced`
+    planner keeps its searches' expansion rows."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, traced: bool = False):
         sc = self.scenario = scenario
+        self.traced = traced
         self.dt_knot = sc.horizon / (sc.num_control_points - 3)
         # the prediction at half-knot steps; its even rows are the knots'
         self.track_offsets = np.arange(
@@ -739,7 +741,7 @@ class Planner:
             idx = min(int(round(s / _dt)), len(_track) - 1)
             return _track.c[idx]
 
-        expanded = []
+        expanded = [] if self.traced else None
         # the previous front-end path usually still checks out against the
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _revalidate_path(self.held_path, t, state, target_at,
@@ -788,7 +790,7 @@ class Planner:
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
     history = HistoryBuffer(span=sc.predict_window * 2.0)
-    planner = Planner(sc)
+    planner = Planner(sc, traced=collect_traces)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
                        replans=[] if collect_traces else None)
     half_bins = report.heatmap.shape[0] // 2
@@ -847,7 +849,7 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
         report.replan_times.append(time.perf_counter() - t_wall)
         if report.replans is not None:
             report.replans.append(cycle)
-        del cycle   # untraced, its search rows go before the next cycle
+        del cycle   # untraced, its record goes before the next cycle
         if traj is not None:
             committed = (traj, t)
         elif committed is None:

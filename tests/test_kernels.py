@@ -360,6 +360,20 @@ def sparsen(grid: OccupancyGrid, data):
 
 
 @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_occupied_counts_are_box_counts(planar, data):
+    grid = data.draw(grids(planar))
+    sparsen(grid, data)
+    table = grid.occupied_counts()
+    nx, ny, nz = grid.dims
+    want = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
+    for i, j, k in np.ndindex(want.shape):
+        want[i, j, k] = grid.occupancy[:i, :j, :k].sum()
+    assert same_bits(table, want)
+
+
+@pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
 @pytest.mark.parametrize("kind", ["random", "grid_aligned", "crossing_border",
                                   "near_border", "outside"])
 @settings(max_examples=60)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from visiplan import optimizer
+from visiplan import optimizer, sim
 from visiplan.env import OccupancyGrid
 from visiplan.optimizer import optimize
 from visiplan.predict import HistoryBuffer, fit, predict_track
@@ -277,11 +277,23 @@ def test_run_matches_reference(name, seed, duration, mode):
         dumps_canonical(reference_config_echo(sc))
 
 
-def test_untraced_run_matches_reference():
+def test_untraced_run_matches_reference(monkeypatch):
+    rows = []   # the `trace` argument of every search the planner runs
+
+    def recording(*args, trace, **kwargs):
+        rows.append(trace)
+        return search(*args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(sim, "search", recording)
     want = reference_run(scenario("mini", "visibility", duration=1.5))
     got = run(scenario("mini", "visibility", duration=1.5))
     assert not got.replans
     assert recorded(got, traces(got)) == recorded(*want)
+    # an untraced run builds no expansion rows; a traced one does
+    assert rows and all(r is None for r in rows)
+    del rows[:]
+    run(scenario("mini", "visibility", duration=1.5), collect_traces=True)
+    assert rows and all(isinstance(r, list) for r in rows)
 
 
 # ---------------------------------------------------------------------------

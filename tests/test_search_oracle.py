@@ -325,29 +325,32 @@ def scenes(draw, planar: bool, sight: str):
             draw(st.sampled_from([1.5, 2.5])))
 
 
-def outcome(fn, scene, occlusion_check: bool):
+def outcome(fn, scene, occlusion_check: bool, rows: list | None):
     grid, esdf, start, target_at, cfg, horizon, standoff = scene
-    rows = []
     try:
-        result = fn(start, target_at, grid, esdf, LIMITS, cfg,
-                    horizon=horizon, standoff=standoff,
-                    occlusion_check=occlusion_check, trace=rows)
+        return fn(start, target_at, grid, esdf, LIMITS, cfg, horizon=horizon,
+                  standoff=standoff, occlusion_check=occlusion_check,
+                  trace=rows)
     except SearchError as e:
-        result = type(e)
-    return result, np.array(rows, dtype=np.float64)
+        return type(e)
 
 
 def assert_same_outcome(scene, occlusion_check: bool):
-    new, new_rows = outcome(search, scene, occlusion_check)
-    ref, ref_rows = outcome(reference_search, scene, occlusion_check)
-    if isinstance(ref, type):
-        assert new is ref
-    else:
-        assert not isinstance(new, type), new
-        for x, y in zip(new, ref):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
+    new_rows, ref_rows = [], []
+    ref = outcome(reference_search, scene, occlusion_check, ref_rows)
+    # traced, and untraced as every benchmark mission searches
+    for new in (outcome(search, scene, occlusion_check, new_rows),
+                outcome(search, scene, occlusion_check, None)):
+        if isinstance(ref, type):
+            assert new is ref
+        else:
+            assert not isinstance(new, type), new
+            for x, y in zip(new, ref):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
     # the same nodes expanded in the same order
+    new_rows = np.array(new_rows, dtype=np.float64)
+    ref_rows = np.array(ref_rows, dtype=np.float64)
     assert new_rows.shape == ref_rows.shape
     assert new_rows.tobytes() == ref_rows.tobytes()
     return ref
