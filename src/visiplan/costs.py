@@ -61,9 +61,9 @@ class CostWeights:
 class DynamicLimits:
     v_m: float = 5.0
     a_m: float = 6.0
-    v_phi_m: float = 2.5
-    a_phi_m: float = 5.0
-    d_thr: float = 0.5
+    v_phi_m: float = 3.0
+    a_phi_m: float = 6.0
+    d_thr: float = 0.4
     psi_thr: float = 0.6
 
     def __post_init__(self):

@@ -331,7 +331,7 @@ _INNER = np.array([1, 0, 0])
 _OUTER = np.array([2, 2, 1])
 
 
-def build_esdf(grid: OccupancyGrid, d_trunc: float = 5.0) -> ESDFField:
+def build_esdf(grid: OccupancyGrid, d_trunc: float) -> ESDFField:
     """Exact distance transform of the occupancy grid, truncated at d_trunc.
 
     Distances are measured between cell centers. Occupied cells store 0;

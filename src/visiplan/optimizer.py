@@ -38,7 +38,7 @@ class NumericError(RuntimeError):
 
 @dataclass
 class OptimizerConfig:
-    max_iterations: int = 200
+    max_iterations: int = 20
     gradient_tolerance: float = 1e-5
     relative_cost_tolerance: float = 1e-8
 

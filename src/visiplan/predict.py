@@ -76,9 +76,8 @@ class HistoryBuffer:
         return list(self._obs)
 
 
-def fit(history: list[TargetObservation], degree: int = 3,
-        ridge: float = 1e-4, window: float = 2.0, horizon: float = 3.0,
-        v_max: float = 2.5) -> PredictionModel:
+def fit(history: list[TargetObservation], *, degree: int, ridge: float,
+        window: float, horizon: float, v_max: float) -> PredictionModel:
     """Fit the prediction polynomial to the trailing `window` seconds."""
     if not history:
         raise ValueError("empty observation history")

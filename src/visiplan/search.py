@@ -34,6 +34,12 @@ class InvalidStart(SearchError):
 
 
 ACCEL_FRACTIONS = (-1.0, 0.0, 1.0)     # of a_m per axis
+TAU = 0.25                             # primitive duration
+PRUNE_RESOLUTION = 0.3                 # position hashing
+HEURISTIC_WEIGHT = 2.5
+# extra cost per primitive at full acceleration, as a fraction of TAU;
+# keeps equal-duration paths ordered by control effort
+EFFORT_WEIGHT = 0.25
 COLLISION_SAMPLES = 5                  # clearance samples per primitive
 GOAL_TOLERANCE = 0.5                   # radial slack of the goal annulus
 # cost per second per meter of gap to the follow point (the predicted target
@@ -49,18 +55,11 @@ NODE_ROW = 11
 
 @dataclass
 class SearchConfig:
-    tau: float = 0.2                     # primitive duration
-    prune_resolution: float = 0.2        # position hashing
-    heuristic_weight: float = 1.2
-    max_expansions: int = 4000
-    horizon_slack: float = 2.0           # allow paths up to slack * horizon
-    # extra cost per primitive at full acceleration, as a fraction of tau;
-    # keeps equal-duration paths ordered by control effort
-    effort_weight: float = 0.1
+    max_expansions: int = 3500
+    horizon_slack: float = 1.5           # allow paths up to slack * horizon
 
     def __post_init__(self):
-        require_valid_fields(self, nonnegative=("heuristic_weight",
-                                                "effort_weight"))
+        require_valid_fields(self)
         # the goal lies at the horizon, so a path must be allowed to reach it
         if not self.horizon_slack >= 1:
             raise FieldError(f"horizon_slack must be at least 1, "
@@ -310,11 +309,11 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
-    tau = config.tau
+    tau = TAU
     samp_t = np.linspace(0.0, tau, COLLISION_SAMPLES)
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
-    step_cost = tau * (1.0 + config.effort_weight
+    step_cost = tau * (1.0 + EFFORT_WEIGHT
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
     # successors run on Python floats, each value computed with the same
     # operations in the same order as the former numpy batch
@@ -323,11 +322,11 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                                step_cost.tolist())))
     max_time = config.horizon_slack * horizon + 1e-9
     v_quant = max(limits.a_m * tau, 1e-6)
-    inv_prune = 1.0 / config.prune_resolution
+    inv_prune = 1.0 / PRUNE_RESOLUTION
     inv_vq = 1.0 / v_quant
     gx, gy, gz = (float(v) for v in goal_center)
     v_m2 = limits.v_m ** 2
-    hw = config.heuristic_weight
+    hw = HEURISTIC_WEIGHT
 
     # a primitive's samples stay within |v| * tau + a_max * tau^2 / 2 of
     # its node

@@ -64,7 +64,7 @@ class WaypointScript:
             raise ScenarioError("target script times must increase")
 
     @classmethod
-    def from_path(cls, points, speed: float, start_hold: float = 0.0):
+    def from_path(cls, points, speed: float, start_hold: float):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = [pts[0]]
         times = [0.0]

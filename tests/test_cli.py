@@ -79,14 +79,14 @@ class TestRunCommand:
         ("limits", "bogus", 1.0, "limits.bogus"),
         ("limits", "v_m", -1, "v_m"),
         (None, "duration", "ten", "duration"),
-        ("search", "tau", 0, "tau"),
+        ("search", "horizon_slack", 0, "horizon_slack"),
         ("robot_start", "p", "abc", "robot_start.p"),
         (None, "d_trunc", -1, "d_trunc"),
         # JSON's NaN and Infinity, one field per config section
         ("weights", "w_do", math.nan, "w_do"),
         ("limits", "v_m", math.nan, "v_m"),
         ("params", "rho", math.inf, "rho"),
-        ("search", "tau", math.nan, "tau"),
+        ("search", "horizon_slack", math.nan, "horizon_slack"),
         ("optimizer", "max_iterations", math.nan, "max_iterations"),
         (None, "num_control_points", math.inf, "num_control_points"),
         ("predict", "ridge", -math.inf, "predict.ridge"),
@@ -105,6 +105,16 @@ class TestRunCommand:
          "optimizer.wall_clock_budget"),
         ("search", "standoff", 3.0, "search.standoff"),
         ("search", "goal_tolerance", 0.5, "search.goal_tolerance"),
+        ("search", "tau", 0.25, "search.tau"),
+        ("search", "prune_resolution", 0.3, "search.prune_resolution"),
+        ("search", "heuristic_weight", 2.5, "search.heuristic_weight"),
+        ("search", "effort_weight", 0.25, "search.effort_weight"),
+        ("search", "tau", 0, "tau"),
+        ("search", "tau", math.nan, "tau"),
+        ("search", "tau", -0.25, "search.tau"),
+        ("search", "prune_resolution", 0, "search.prune_resolution"),
+        ("search", "heuristic_weight", -1.0, "search.heuristic_weight"),
+        ("search", "effort_weight", -0.1, "search.effort_weight"),
         (None, "pose_noise_sigma", math.nan, "pose_noise_sigma"),
         # unknown keys in the sections outside the config dataclasses
         (None, "horizn", 5.0, "horizn"),
@@ -114,13 +124,9 @@ class TestRunCommand:
         ("predict", "bogus", 1.0, "predict.bogus"),
         # one row per search field, and the bound between two visibility
         # fields
-        ("search", "tau", -0.25, "search.tau"),
-        ("search", "prune_resolution", 0, "search.prune_resolution"),
-        ("search", "heuristic_weight", -1.0, "search.heuristic_weight"),
         ("search", "max_expansions", 0, "search.max_expansions"),
         ("search", "horizon_slack", -1, "search.horizon_slack"),
         ("search", "horizon_slack", 0.5, "search.horizon_slack"),
-        ("search", "effort_weight", -0.1, "search.effort_weight"),
         ("params", "od_max", 2.0, "params.od_max"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
@@ -221,7 +227,7 @@ class TestRunCommand:
         *parents, key = path.split(".")
         section = raw
         for name in parents:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

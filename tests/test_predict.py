@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from visiplan.predict import (HistoryBuffer, PredictionModel,
                               TargetObservation, fit, predict_track)
-from visiplan.search import SearchConfig
+from visiplan.search import TAU, SearchConfig
 from visiplan.sim import Planner, bundled_scenario, load_scenario
 
 
@@ -29,13 +29,15 @@ class TestFit:
         v = np.array([0.5, -0.2, 0.0])
         p0 = np.array([1.0, 2.0, 0.0])
         history = obs(np.linspace(0, 2, 21), lambda t: p0 + v * t)
-        model = fit(history, degree=2, ridge=1e-9, horizon=3.0)
+        model = fit(history, degree=2, ridge=1e-9, window=2.0, horizon=3.0,
+                    v_max=2.5)
         for t in np.linspace(2.0, 5.0, 7):
             assert np.linalg.norm(model.position(t) - (p0 + v * t)) < 1e-6
 
     def test_constant_history(self):
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([3.0, 1.0, 0.0]))
-        model = fit(history)
+        model = fit(history, degree=3, ridge=1e-4, window=2.0, horizon=3.0,
+                    v_max=2.5)
         track = predict_track(model, [1.5, 2.0, 2.5])
         assert np.allclose(track.c, [3.0, 1.0, 0.0])
         assert np.linalg.norm(model.velocity(1.0)) < 1e-9
@@ -46,36 +48,41 @@ class TestFit:
         truth = lambda t: np.array([0.3 * t * t, 1.0 - 0.5 * t, 0.0])
         pts = np.stack([truth(t) + rng.normal(0, 0.01, 3) for t in times])
         history = [TargetObservation(float(t), p) for t, p in zip(times, pts)]
-        model = fit(history, degree=2, ridge=1e-4, window=10.0)
+        model = fit(history, degree=2, ridge=1e-4, window=10.0, horizon=3.0,
+                    v_max=2.5)
         oracle = normal_equations_oracle(times, pts, 2, 1e-4)
         assert np.max(np.abs(model.coeffs - oracle)) < 1e-8
 
     def test_degree_capped_by_count(self):
         history = obs([0.0, 0.1], lambda t: np.array([t, 0.0, 0.0]))
-        model = fit(history, degree=3)
+        model = fit(history, degree=3, ridge=1e-4, window=2.0, horizon=3.0,
+                    v_max=2.5)
         assert model.degree == 1
 
     def test_single_observation_constant(self):
-        model = fit(obs([0.0], lambda t: np.array([1.0, 2.0, 3.0])))
+        model = fit(obs([0.0], lambda t: np.array([1.0, 2.0, 3.0])),
+                    degree=3, ridge=1e-4, window=2.0, horizon=3.0, v_max=2.5)
         assert model.degree == 0
         assert np.allclose(model.position(4.0), [1.0, 2.0, 3.0])
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            fit([])
+            fit([], degree=3, ridge=1e-4, window=2.0, horizon=3.0, v_max=2.5)
 
     def test_window_restricts_fit(self):
         # junk long ago must not disturb the recent linear segment
         early = obs(np.linspace(0, 1, 5), lambda t: np.array([50.0, 0, 0]))
         late = obs(np.linspace(3, 5, 21), lambda t: np.array([t, 0, 0]))
-        model = fit(early + late, degree=2, ridge=1e-9, window=2.0)
+        model = fit(early + late, degree=2, ridge=1e-9, window=2.0, horizon=3.0,
+                    v_max=2.5)
         assert np.linalg.norm(model.position(5.0) - [5.0, 0, 0]) < 1e-6
 
 
 class TestPredictTrack:
     def test_linear_model_track(self):
         history = obs(np.linspace(0, 2, 21), lambda t: np.array([t, 0.0, 0.0]))
-        model = fit(history, degree=1, ridge=1e-9, horizon=4.0, v_max=10.0)
+        model = fit(history, degree=1, ridge=1e-9, window=2.0, horizon=4.0,
+                    v_max=10.0)
         track = predict_track(model, [1.0, 2.0, 3.0])
         assert np.allclose(track.c, [[1, 0, 0], [2, 0, 0], [3, 0, 0]],
                            atol=1e-6)
@@ -84,7 +91,8 @@ class TestPredictTrack:
         # fitted speed 4 m/s against a 2.5 m/s bound: the tail must move at
         # exactly the bound
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([4.0 * t, 0, 0]))
-        model = fit(history, degree=1, ridge=1e-12, horizon=5.0, v_max=2.5)
+        model = fit(history, degree=1, ridge=1e-12, window=2.0, horizon=5.0,
+                    v_max=2.5)
         times = np.arange(1.0, 5.0, 0.25)
         track = predict_track(model, times)
         speeds = np.linalg.norm(np.diff(track.c, axis=0), axis=1) / 0.25
@@ -93,7 +101,8 @@ class TestPredictTrack:
 
     def test_extrapolation_beyond_horizon(self):
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([t, 0, 0]))
-        model = fit(history, degree=1, ridge=1e-9, horizon=2.0, v_max=10.0)
+        model = fit(history, degree=1, ridge=1e-9, window=2.0, horizon=2.0,
+                    v_max=10.0)
         track = predict_track(model, [1.5, 2.5, 6.0])
         # constant-velocity tail: equal spacing after the horizon
         gap1 = track.c[2] - track.c[1]
@@ -104,7 +113,8 @@ class TestPredictTrack:
         history = obs(np.linspace(0, 2, 30),
                       lambda t: np.array([np.sin(t), 0.5 * t, 0])
                       + rng.normal(0, 0.005, 3))
-        model = fit(history, degree=3, window=10.0)
+        model = fit(history, degree=3, ridge=1e-4, window=10.0, horizon=3.0,
+                    v_max=2.5)
         track = predict_track(model, [2.0])
         gap = np.linalg.norm(track.c[0] - history[-1].position)
         # the window covers the whole history
@@ -115,7 +125,8 @@ class TestPredictTrack:
     def test_track_smooth_acceleration(self):
         history = obs(np.linspace(0, 2, 30),
                       lambda t: np.array([np.sin(0.8 * t), 0.3 * t, 0]))
-        model = fit(history, degree=3, window=10.0, horizon=3.0, v_max=2.5)
+        model = fit(history, degree=3, ridge=1e-4, window=10.0, horizon=3.0,
+                    v_max=2.5)
         ts = np.arange(2.0, 5.0, 0.1)
         track = predict_track(model, ts)
         vel = np.diff(track.c, axis=0) / 0.1
@@ -176,8 +187,8 @@ def test_knot_track_is_every_second_half_knot_row(data):
     # less its near-term nodes, from the current time
     cfg = sc.search_config
     path = [0.0]
-    while path[-1] + cfg.tau <= cfg.horizon_slack * sc.search_horizon:
-        path.append(path[-1] + cfg.tau)
+    while path[-1] + TAU <= cfg.horizon_slack * sc.search_horizon:
+        path.append(path[-1] + TAU)
     held = np.array(path) + (t - data.draw(st.integers(1, 10), label="lag")
                              * sc.replan_period)
     revalidated = np.concatenate([[0.0], held[held >= t + 0.35] - t])

@@ -3,8 +3,10 @@
 `reference_search` is the search as it was before successors moved to
 Python floats and before the line-of-sight and clearance certificates, kept
 verbatim (only renamed, with its own node record, without the unguided
-heuristic the search no longer has, and taking the occlusion check as a
-keyword, as `search` does). The lean search must
+heuristic the search no longer has, taking the occlusion check as a
+keyword and reading the primitive duration, prune resolution and heuristic
+and effort weights from the module constants, as `search` does). The lean
+search must
 return the same bits, expand the same nodes in the same order, and fail with
 the same exception type, with the occlusion check on and off, from sighted
 and unsighted starts, and under budgets that run out.
@@ -25,9 +27,11 @@ from hypothesis import strategies as st
 from visiplan.costs import DynamicLimits
 from visiplan.env import ESDFField, OccupancyGrid, build_esdf
 from visiplan.search import (ACCEL_FRACTIONS, COLLISION_SAMPLES,
-                             GOAL_TOLERANCE, TRACKING_WEIGHT, InvalidStart,
-                             SearchConfig, SearchError, SearchExhausted,
-                             _bang_bang_time, raycast_occluded, search)
+                             EFFORT_WEIGHT, GOAL_TOLERANCE, HEURISTIC_WEIGHT,
+                             PRUNE_RESOLUTION, TAU, TRACKING_WEIGHT,
+                             InvalidStart, SearchConfig, SearchError,
+                             SearchExhausted, _bang_bang_time,
+                             raycast_occluded, search)
 from visiplan.spline import RobotState
 
 
@@ -84,21 +88,21 @@ def reference_search(start_state, target_at, grid: OccupancyGrid,
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
-    tau = cfg.tau
+    tau = TAU
     samp_t = np.linspace(0.0, tau, max(COLLISION_SAMPLES, 2))
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
     samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
     acc_tau = accels * tau
     acc_arc = 0.5 * accels * tau * tau
-    step_cost = tau * (1.0 + cfg.effort_weight
+    step_cost = tau * (1.0 + EFFORT_WEIGHT
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
     max_time = cfg.horizon_slack * horizon + 1e-9
     v_quant = max(limits.a_m * tau, 1e-6)
-    inv_prune = 1.0 / cfg.prune_resolution
+    inv_prune = 1.0 / PRUNE_RESOLUTION
     inv_vq = 1.0 / v_quant
     gx, gy, gz = (float(v) for v in goal_center)
     v_m2 = limits.v_m ** 2
-    hw = cfg.heuristic_weight
+    hw = HEURISTIC_WEIGHT
 
     def key_of(p, v, t, sighted):
         return (int(round(p[0] * inv_prune)), int(round(p[1] * inv_prune)),
@@ -314,12 +318,7 @@ def scenes(draw, planar: bool, sight: str):
     start_v = speed * np.array([math.cos(ang + 1.0), math.sin(ang + 1.0),
                                 0.0 if planar else 0.3])
     start = RobotState(start_p, start_v, np.zeros(3), 0.0)
-    cfg = SearchConfig(
-        tau=draw(st.sampled_from([0.2, 0.25])), prune_resolution=0.3,
-        max_expansions=draw(st.sampled_from([15, 80, 400])),
-        horizon_slack=1.5,
-        heuristic_weight=draw(st.sampled_from([1.0, 2.5])),
-        effort_weight=0.25)
+    cfg = SearchConfig(max_expansions=draw(st.sampled_from([15, 80, 400])))
     return (grid, build_esdf(grid, draw(st.sampled_from([1.0, 5.0]))),
             start, target_at, cfg, draw(st.sampled_from([1.0, 2.0, 3.0])),
             draw(st.sampled_from([1.5, 2.5])))

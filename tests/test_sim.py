@@ -212,6 +212,19 @@ class TestScenarioLoading:
                             (sc.optimizer_config.max_iterations, 20)):
             assert type(value) is int and value == want
 
+    @pytest.mark.parametrize("name", ["case1", "case2", "mini", "forest"])
+    def test_defaults_are_the_flown_values(self, name):
+        """A bundled scenario states only what differs from the defaults,
+        and only forest's search budget and each file's speed and
+        acceleration bounds do."""
+        raw = json.loads(bundled_scenario(name).read_text())
+        sc = load_scenario(bundled_scenario(name))
+        assert sc.search_config == (SearchConfig(max_expansions=1200)
+                                    if name == "forest" else SearchConfig())
+        assert sc.optimizer_config == OptimizerConfig()
+        assert sc.limits == DynamicLimits(v_m=raw["limits"]["v_m"],
+                                          a_m=raw["limits"]["a_m"])
+
 
 class TestRun:
     def test_mini_tracks(self, mini_vis):
