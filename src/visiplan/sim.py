@@ -26,8 +26,8 @@ from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
-from .predict import SPEED_PROBE_DT, HistoryBuffer, fit, predict_track
-from .search import (GOAL_TOLERANCE, SearchConfig, SearchError,
+from .predict import HistoryBuffer, fit, predict_track
+from .search import (GOAL_TOLERANCE, TAU, SearchConfig, SearchError,
                      raycast_occluded, search)
 from .spline import RobotState, initialize_from_path, wrap_angle
 
@@ -207,10 +207,12 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 @dataclass
 class Scenario:
     """A loaded tracking scenario, built by `scenario_from_dict` from the
-    scenario table, which owns every default and bound. `esdf` is the
-    truncated ESDF of `grid` at `d_trunc`, built once at load and used by
-    the planner; it belongs to that grid, so the grid must not change after
-    loading."""
+    scenario table, which owns the defaults and bounds of what a scenario
+    file sets: the mission's world, target, vehicle, sensor and prediction
+    model. The fields with defaults are the planner's fixed settings, the
+    same for every scenario. `esdf` is the truncated ESDF of `grid` at
+    `d_trunc`, built once at load and used by the planner; it belongs to
+    that grid, so the grid must not change after loading."""
 
     name: str
     grid: OccupancyGrid
@@ -219,23 +221,24 @@ class Scenario:
     target: WaypointScript
     fov_h_half: float
     fov_v_half: float
-    replan_period: float
     duration: float
-    horizon: float
     search_horizon: float
-    num_control_points: int
     seed: int
     limits: DynamicLimits
-    params: VisibilityParams
-    weights: CostWeights
     search_config: SearchConfig
-    optimizer_config: OptimizerConfig
     predict_degree: int
-    predict_ridge: float
     predict_window: float
     predict_v_max: float
     mode: str
-    d_trunc: float
+    replan_period: float = 0.1
+    horizon: float = 3.0                # spline horizon (s)
+    num_control_points: int = 33
+    d_trunc: float = 5.0                # ESDF truncation (m)
+    predict_ridge: float = 1e-4
+    params: VisibilityParams = field(default_factory=VisibilityParams)
+    weights: CostWeights = field(default_factory=CostWeights)
+    optimizer_config: OptimizerConfig = field(
+        default_factory=OptimizerConfig)
 
     def effective_weights(self) -> CostWeights:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
@@ -341,7 +344,7 @@ def _object(d, section: str, keys) -> None:
 
 def _read(d, section: str, rows) -> SimpleNamespace:
     """The values of `section`, an object read against `rows`; an absent
-    key takes its row's default, and a None default reads as None."""
+    key takes its row's default."""
     _object(d, section, [row.key for row in rows])
     prefix = _field_name(section, "")
     values = SimpleNamespace()
@@ -351,7 +354,7 @@ def _read(d, section: str, rows) -> SimpleNamespace:
         elif default is _REQUIRED:
             raise ScenarioError(f"scenario missing field '{prefix}{key}'")
         else:
-            value = default if default is None else kind(default, prefix + key)
+            value = kind(default, prefix + key)
         setattr(values, key, value)
     return values
 
@@ -368,16 +371,20 @@ def _one_of(*kinds):
         for rows in kinds:
             if isinstance(value, dict) and rows[0].key in value:
                 return rows, _read(value, name, rows)
+        if isinstance(value, dict):
+            # a key no kind reads, such as a deleted kind's, is unknown
+            _object(value, name, {row.key for rows in kinds for row in rows})
         keys = [rows[0].key for rows in kinds]
         raise ScenarioError(f"scenario field '{name}' must be an object "
                             f"with one of the keys {keys}")
     return parse
 
 
-def _config(cls):
-    """Kind: the config dataclass `cls`; the class checks its own fields."""
+def _config(cls, *keys):
+    """Kind: the config dataclass `cls` set through its fields `keys`; the
+    class checks its own fields."""
     def parse(value, name):
-        _object(value, name, {f.name for f in dataclasses.fields(cls)})
+        _object(value, name, keys)
         return _checked(name, cls, **value)
     return parse
 
@@ -401,8 +408,6 @@ _FOREST = (_Row("generator", _section(
     _Row("clearance", _NONNEGATIVE, 1.0))),)
 _INLINE_GRID = tuple(_Row(key, _as_given)
                      for key in ("dims", "resolution", "origin", "occupied"))
-_WAYPOINTS = (_Row("waypoints", _array(
-    (None, 4), "a nonempty list of [t, x, y, z] waypoints")),)
 _PATH = (_Row("path", _array((None, 3), "a nonempty list of [x, y, z] "
                              "points")),
          _Row("speed", _POSITIVE, 1.0),
@@ -417,28 +422,19 @@ _SCENARIO = (
     _Row("name", _text, "scenario"),
     _Row("seed", _SEED, 0),
     _Row("map", _one_of(_GRID_FILE, _FOREST, _INLINE_GRID)),
-    _Row("d_trunc", _POSITIVE, 5.0),
     _Row("robot_start", _section(_Row("p", _POINT),
                                  _Row("yaw", _number(), 0.0))),
-    _Row("target", _one_of(_WAYPOINTS, _PATH, _RANDOM_WALK)),
+    _Row("target", _one_of(_PATH, _RANDOM_WALK)),
     _Row("duration", _POSITIVE),
-    _Row("horizon", _POSITIVE, 3.0),
-    _Row("search_horizon", _POSITIVE, None),    # None: the horizon
+    _Row("search_horizon", _POSITIVE, Scenario.horizon),
     _Row("fov_h_deg", _CONE_DEG, 80.0),
     _Row("fov_v_deg", _CONE_DEG, 65.0),
-    _Row("replan_period", _POSITIVE, 0.1),
-    # a cubic B-spline needs one free control point past the three pinned
-    # by the start state
-    _Row("num_control_points", _number(int, above=3), 33),
     _Row("predict", _section(_Row("degree", _number(int, least=0), 3),
-                             _Row("ridge", _NONNEGATIVE, 1e-4),
                              _Row("window", _NONNEGATIVE, 2.0),
                              _Row("v_max", _NONNEGATIVE, 2.5)), {}),
-    _Row("limits", _config(DynamicLimits), {}),
-    _Row("params", _config(VisibilityParams), {}),
-    _Row("weights", _config(CostWeights), {}),
-    _Row("search", _config(SearchConfig), {}),
-    _Row("optimizer", _config(OptimizerConfig), {}),
+    _Row("limits", _config(DynamicLimits, "v_m", "a_m", "v_phi_m",
+                           "a_phi_m", "d_thr", "psi_thr"), {}),
+    _Row("search", _config(SearchConfig, "max_expansions"), {}),
 )
 
 
@@ -461,25 +457,23 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     s = _read(raw, "scenario", _SCENARIO)
     if seed is not None:
         s.seed = _SEED(seed, "seed")
-    search_horizon = s.search_horizon or s.horizon
-    # finite fields can still give an infinite count of the run's steps or
-    # of the predictor's probes over the planner's prediction span
-    if not math.isfinite(s.duration / s.replan_period):
-        raise ScenarioError(
-            "scenario fields 'duration' and 'replan_period' must give a "
-            f"finite step count, got {s.duration!r} / {s.replan_period!r}")
-    span = s.search.horizon_slack * max(s.horizon, search_horizon)
-    if not math.isfinite(span / SPEED_PROBE_DT):
-        raise ScenarioError(
-            "scenario fields 'search.horizon_slack', 'horizon' and "
-            "'search_horizon' must give a prediction span horizon_slack * "
-            f"max(horizon, search_horizon) finite in {SPEED_PROBE_DT} s "
-            f"steps, got {s.search.horizon_slack!r} * max({s.horizon!r}, "
-            f"{search_horizon!r})")
+    if not math.isfinite(s.duration / Scenario.replan_period):
+        raise _bad("duration", "finite in replan periods of "
+                   f"{Scenario.replan_period} s", s.duration)
+    # the seed fit drops every path point past the horizon, and each
+    # search depth costs at least one expansion
+    if s.search_horizon > Scenario.horizon:
+        raise _bad("search_horizon", f"at most the horizon "
+                   f"{Scenario.horizon} s", s.search_horizon)
+    depths = math.ceil(s.search_horizon / TAU)
+    if s.search.max_expansions < depths:
+        raise _bad("search.max_expansions", f"at least {depths}, one per "
+                   f"{TAU} s depth of the {s.search_horizon} s search "
+                   "horizon", s.search.max_expansions)
     start = RobotState.at_rest(s.robot_start.p, s.robot_start.yaw)
     grid = _checked("map", _load_map, *s.map, base_dir, s.seed,
                     keep_clear=(start.p, _target_start(*s.target)))
-    esdf = build_esdf(grid, s.d_trunc)
+    esdf = build_esdf(grid, Scenario.d_trunc)
     return Scenario(
         name=s.name,
         grid=grid,
@@ -488,20 +482,15 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         target=_load_target(*s.target, esdf, s.seed, s.duration),
         fov_h_half=math.radians(s.fov_h_deg / 2.0),
         fov_v_half=math.radians(s.fov_v_deg / 2.0),
-        replan_period=s.replan_period,
         duration=s.duration,
-        horizon=s.horizon,
-        search_horizon=search_horizon,
-        num_control_points=s.num_control_points,
+        search_horizon=s.search_horizon,
         seed=s.seed,
-        limits=s.limits, params=s.params, weights=s.weights,
-        search_config=s.search, optimizer_config=s.optimizer,
+        limits=s.limits,
+        search_config=s.search,
         predict_degree=s.predict.degree,
-        predict_ridge=s.predict.ridge,
         predict_window=s.predict.window,
         predict_v_max=s.predict.v_max,
         mode=mode,
-        d_trunc=s.d_trunc,
     )
 
 
@@ -528,8 +517,6 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
 
 
 def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
-    if kind is _WAYPOINTS:
-        return t.waypoints[0, 1:]
     if kind is _PATH:
         return t.path[0]
     return t.random.start
@@ -537,12 +524,6 @@ def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
 
 def _load_target(kind, t: SimpleNamespace, esdf: ESDFField, seed: int,
                  duration: float) -> WaypointScript:
-    if kind is _WAYPOINTS:
-        try:
-            return WaypointScript(t.waypoints[:, 0], t.waypoints[:, 1:])
-        except ScenarioError as e:
-            raise ScenarioError(
-                f"scenario field 'target.waypoints': {e}") from e
     if kind is _PATH:
         return WaypointScript.from_path(t.path, t.speed, t.start_hold)
     r = t.random

@@ -79,30 +79,43 @@ class TestRunCommand:
         ("limits", "bogus", 1.0, "limits.bogus"),
         ("limits", "v_m", -1, "v_m"),
         (None, "duration", "ten", "duration"),
-        ("search", "horizon_slack", 0, "horizon_slack"),
         ("robot_start", "p", "abc", "robot_start.p"),
-        (None, "d_trunc", -1, "d_trunc"),
         # JSON's NaN and Infinity, one field per config section
-        ("weights", "w_do", math.nan, "w_do"),
         ("limits", "v_m", math.nan, "v_m"),
-        ("params", "rho", math.inf, "rho"),
-        ("search", "horizon_slack", math.nan, "horizon_slack"),
-        ("optimizer", "max_iterations", math.nan, "max_iterations"),
-        (None, "num_control_points", math.inf, "num_control_points"),
-        ("predict", "ridge", -math.inf, "predict.ridge"),
+        ("search", "max_expansions", math.nan, "max_expansions"),
         # integer fields hold integral numbers, and no field is a boolean
-        (None, "num_control_points", 33.9, "num_control_points"),
-        ("optimizer", "max_iterations", 2.5, "max_iterations"),
         ("search", "max_expansions", 10.5, "max_expansions"),
         ("search", "max_expansions", True, "max_expansions"),
-        ("params", "m_balls", 2.5, "m_balls"),
-        # deleted settings are unknown fields
+        # deleted settings are unknown fields, in bounds or out of them; a
+        # deleted section is named as a whole
+        (None, "d_trunc", 5.0, "d_trunc"),
+        (None, "horizon", 3.0, "horizon"),
+        (None, "replan_period", 0.1, "replan_period"),
+        (None, "num_control_points", 33, "num_control_points"),
+        ("predict", "ridge", 1e-4, "predict.ridge"),
+        ("search", "horizon_slack", 1.5, "search.horizon_slack"),
+        (None, "weights", {"w_do": 20.0}, "weights"),
+        (None, "params", {"od_min": 2.5}, "params"),
+        (None, "optimizer", {"max_iterations": 20}, "optimizer"),
+        (None, "d_trunc", -1, "d_trunc"),
+        (None, "num_control_points", math.inf, "num_control_points"),
+        (None, "num_control_points", 33.9, "num_control_points"),
+        ("predict", "ridge", -math.inf, "predict.ridge"),
+        ("search", "horizon_slack", 0, "horizon_slack"),
+        ("search", "horizon_slack", math.nan, "horizon_slack"),
+        ("search", "horizon_slack", -1, "search.horizon_slack"),
+        ("search", "horizon_slack", 0.5, "search.horizon_slack"),
+        (None, "weights", {"w_do": math.nan}, "weights"),
+        (None, "params", {"rho": math.inf}, "params"),
+        (None, "params", {"m_balls": 2.5}, "params"),
+        (None, "params", {"od_max": 2.0}, "params"),
+        (None, "optimizer", {"max_iterations": math.nan}, "optimizer"),
+        (None, "optimizer", {"max_iterations": 2.5}, "optimizer"),
         ("search", "occlusion_check", "no", "occlusion_check"),
         ("search", "occlusion_check", 1, "search.occlusion_check"),
         ("search", "occlusion_check", False, "search.occlusion_check"),
         ("search", "guided", True, "search.guided"),
-        ("optimizer", "wall_clock_budget", None,
-         "optimizer.wall_clock_budget"),
+        (None, "optimizer", {"wall_clock_budget": None}, "optimizer"),
         ("search", "standoff", 3.0, "search.standoff"),
         ("search", "goal_tolerance", 0.5, "search.goal_tolerance"),
         ("search", "tau", 0.25, "search.tau"),
@@ -122,12 +135,8 @@ class TestRunCommand:
         ("target", "bogus", 1.0, "target.bogus"),
         ("robot_start", "bogus", 1.0, "robot_start.bogus"),
         ("predict", "bogus", 1.0, "predict.bogus"),
-        # one row per search field, and the bound between two visibility
-        # fields
+        # the search field's own bound
         ("search", "max_expansions", 0, "search.max_expansions"),
-        ("search", "horizon_slack", -1, "search.horizon_slack"),
-        ("search", "horizon_slack", 0.5, "search.horizon_slack"),
-        ("params", "od_max", 2.0, "params.od_max"),
     ])
     def test_invalid_field_exits_2_naming_it(self, mini_path, tmp_path,
                                              capsys, section, key, value,
@@ -147,6 +156,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("scenario, path, value, named", [
         ("mini", "target.path", [["a", 1, 0], [8.0, 7.5, 0.0]], "target.path"),
         ("mini", "target.path", [[4.0, 6.0], [8.0, 7.5]], "target.path"),
+        # timed waypoints are a deleted target kind, so their key is unknown
         ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
                                           [1.0, "x", 6.0, 0.0]]},
          "target.waypoints"),
@@ -205,17 +215,27 @@ class TestRunCommand:
         ("mini", "map.resolution", "0.1", "map.resolution"),
         ("mini", "map.resolution", True, "map.resolution"),
         ("mini", "predict.ridge", -1.0, "predict.ridge"),
-        # an ASCII grid file needs a resolution; waypoint times increase
+        # an ASCII grid file needs a resolution; waypoints are unknown even
+        # when well formed
         ("case1", "map", {"file": "case1_map.txt"}, "map.resolution"),
         ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
                                           [0.0, 5.0, 6.0, 0.0]]},
          "target.waypoints"),
-        # finite values whose step count or prediction span overflows
+        # a finite duration whose step count overflows, and finite values
+        # that crashed or hung a run: a search horizon past the spline's or
+        # past what the expansion budget reaches, and deleted settings
         ("mini", "duration", 1e308, "duration"),
         ("mini", "replan_period", 1e-320, "replan_period"),
         ("mini", "horizon", 1e308, "horizon"),
         ("mini", "search_horizon", 1e308, "search_horizon"),
         ("mini", "search.horizon_slack", 1e308, "search.horizon_slack"),
+        ("mini", "search_horizon", 1e300, "search_horizon"),
+        ("mini", "search_horizon", 4.0, "search_horizon"),
+        ("mini", "search.max_expansions", 5, "search.max_expansions"),
+        ("mini", "horizon", 1e300, "horizon"),
+        ("mini", "horizon", 1e-40, "horizon"),
+        ("mini", "search.horizon_slack", 1e300, "search.horizon_slack"),
+        ("mini", "num_control_points", 1e7, "num_control_points"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):

@@ -546,8 +546,8 @@ def test_esdf_matches_reference_on_forests(seed):
     """Forests drawn as the bundled forest scenario draws them."""
     g = json.loads(bundled_scenario("forest").read_text())["map"]["generator"]
     grid = generate_random_forest(seed, g["area"], g["count"],
-                                  g["radius_range"], g["resolution"], [],
-                                  g["clearance"])
+                                  g["radius_range"],
+                                  clearance=g["clearance"])
     assert_esdf_matches_reference(grid, 5.0)
 
 
@@ -682,8 +682,8 @@ def test_walk_matches_reference(seed, map_seed, start, margins, speed,
                                 duration, clearance):
     g = json.loads(bundled_scenario("forest").read_text())["map"]["generator"]
     grid = generate_random_forest(map_seed, g["area"], g["count"],
-                                  g["radius_range"], g["resolution"], [],
-                                  g["clearance"])
+                                  g["radius_range"],
+                                  clearance=g["clearance"])
     esdf = build_esdf(grid, 5.0)
     x, y = start
     bounds = [[x - margins[0], x + margins[1]],

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visiplan import sim
-from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
+from visiplan.costs import DynamicLimits
 from visiplan.env import FieldError, OccupancyGrid, build_esdf
-from visiplan.optimizer import OptimizerConfig
-from visiplan.search import SearchConfig, raycast_occluded
-from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, ScenarioError,
-                          WaypointScript, _cone_contains, bundled_scenario,
-                          dumps_canonical, generate_random_forest,
-                          load_scenario, random_target_script, run,
-                          scenario_from_dict, write_outputs)
+from visiplan.search import TAU, SearchConfig, raycast_occluded
+from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, Scenario,
+                          ScenarioError, WaypointScript, _cone_contains,
+                          bundled_scenario, dumps_canonical,
+                          generate_random_forest, load_scenario,
+                          random_target_script, run, scenario_from_dict,
+                          write_outputs)
 
 
 def in_fov(robot_p, yaw, target_p, fov_h_half, fov_v_half, grid):
@@ -174,56 +176,86 @@ class TestScenarioLoading:
     @given(data=st.data())
     def test_config_field_bound_is_the_dataclass_bound(self, data):
         """A config section accepts a value exactly when its dataclass
-        does, and a rejection names the section and the field."""
-        section, cls = data.draw(st.sampled_from([
-            ("limits", DynamicLimits), ("params", VisibilityParams),
-            ("weights", CostWeights), ("search", SearchConfig),
-            ("optimizer", OptimizerConfig)]), label="section")
-        key = data.draw(st.sampled_from(
-            [f.name for f in dataclasses.fields(cls)]), label="field")
+        does, and a rejection names the section and the field; a budget
+        too small to reach mini's 3 s search horizon in `TAU` depths is
+        rejected too."""
+        section, cls, key = data.draw(st.sampled_from(
+            [("limits", DynamicLimits, f.name)
+             for f in dataclasses.fields(DynamicLimits)]
+            + [("search", SearchConfig, "max_expansions")]), label="field")
         value = data.draw(st.one_of(
             st.just(getattr(cls(), key)), st.sampled_from(
                 [0, 0.0, -1, -0.5, 0.5, 2.5, True, False, math.nan]),
-            st.floats(-10.0, 10.0), st.integers(-10, 10)), label="value")
+            st.floats(-10.0, 10.0), st.integers(-10, 20)), label="value")
         raw = json.loads(bundled_scenario("mini").read_text())
         raw[section] = {**raw.get(section, {}), key: value}
         try:
             cls(**raw[section])
         except FieldError as e:
-            assert e.field == key or (key, e.field) == ("od_min", "od_max")
+            assert e.field == key
             with pytest.raises(ScenarioError) as info:
                 scenario_from_dict(raw)
             assert f"'{section}.{e.field}'" in str(info.value)
         else:
+            if section == "search" and value * TAU < Scenario.horizon:
+                with pytest.raises(ScenarioError,
+                                   match="'search.max_expansions'"):
+                    scenario_from_dict(raw)
+                return
             loaded = scenario_from_dict(raw)
-            config = getattr(loaded, {"search": "search_config",
-                                      "optimizer": "optimizer_config"}
+            config = getattr(loaded, {"search": "search_config"}
                              .get(section, section))
             assert getattr(config, key) == value
 
     def test_integral_float_loads_as_int(self):
         raw = json.loads(bundled_scenario("mini").read_text())
-        raw["params"] = {"m_balls": 10.0}
         raw["search"] = {"max_expansions": 4000.0}
-        raw["optimizer"] = {"max_iterations": 20.0}
-        sc = scenario_from_dict(raw)
-        for value, want in ((sc.params.m_balls, 10),
-                            (sc.search_config.max_expansions, 4000),
-                            (sc.optimizer_config.max_iterations, 20)):
-            assert type(value) is int and value == want
+        value = scenario_from_dict(raw).search_config.max_expansions
+        assert type(value) is int and value == 4000
 
     @pytest.mark.parametrize("name", ["case1", "case2", "mini", "forest"])
     def test_defaults_are_the_flown_values(self, name):
-        """A bundled scenario states only what differs from the defaults,
-        and only forest's search budget and each file's speed and
-        acceleration bounds do."""
-        raw = json.loads(bundled_scenario(name).read_text())
-        sc = load_scenario(bundled_scenario(name))
+        """A bundled scenario states only what differs from the defaults:
+        dropping any one of its keys makes it fail to load, or changes the
+        scenario it loads under its own seed or one of 31 others (a forest's
+        obstacle clearance shows only in some draws). Only forest's search
+        budget and each file's speed and acceleration bounds differ in the
+        config sections."""
+        path = bundled_scenario(name)
+        raw = json.loads(path.read_text())
+        sc = load_scenario(path)
         assert sc.search_config == (SearchConfig(max_expansions=1200)
                                     if name == "forest" else SearchConfig())
-        assert sc.optimizer_config == OptimizerConfig()
         assert sc.limits == DynamicLimits(v_m=raw["limits"]["v_m"],
                                           a_m=raw["limits"]["a_m"])
+        seeds = [None, *range(1, 32)]
+        flown = [pickle.dumps(load_scenario(path, seed=s)) for s in seeds]
+
+        def keys(section, prefix=()):
+            for key, value in section.items():
+                yield prefix + (key,)
+                if isinstance(value, dict):
+                    yield from keys(value, prefix + (key,))
+
+        def changes(smaller):
+            for seed, want in zip(seeds, flown):
+                try:
+                    loaded = scenario_from_dict(smaller, base_dir=path.parent,
+                                                seed=seed)
+                except ScenarioError:
+                    return True
+                if pickle.dumps(loaded) != want:
+                    return True
+            return False
+
+        for dotted in keys(raw):
+            smaller = copy.deepcopy(raw)
+            section = smaller
+            for key in dotted[:-1]:
+                section = section[key]
+            del section[dotted[-1]]
+            assert changes(smaller), \
+                f"{name}.json restates the default of {'.'.join(dotted)}"
 
 
 class TestRun:
