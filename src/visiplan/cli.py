@@ -13,7 +13,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .sim import RunReport, ScenarioError, load_scenario, run, write_outputs
@@ -91,6 +90,8 @@ def cmd_bench(args) -> int:
         load_scenario(args.scenario, seed=seed)
     outdir.mkdir(parents=True, exist_ok=True)
     if workers > 1 and len(jobs) > 1:
+        # imported only where a pool runs: its modules cost about 1 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_worker, jobs))
     else:

@@ -27,6 +27,7 @@ from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import OptimizerConfig, optimize
 from .predict import HistoryBuffer, fit, predict_track
+from .rng import Rng
 from .search import (GOAL_TOLERANCE, TAU, SearchConfig, SearchError,
                      raycast_occluded, search)
 from .spline import RobotState, initialize_from_path, wrap_angle
@@ -96,13 +97,14 @@ _WALK_START_HOLD = 0.5          # seconds the walker waits at its start
 _WALK_MAX_TRIES = 200           # candidate legs before giving up
 
 
-def random_target_script(rng: np.random.Generator, esdf: ESDFField,
+def random_target_script(rng: Rng, esdf: ESDFField,
                          start, speed: float, duration: float,
                          bounds, clearance: float = 0.6) -> WaypointScript:
     """Random piecewise-linear walk through free space: every leg stays at
     least `clearance` from obstacles along its whole length, and consecutive
     legs turn by at most `_WALK_MAX_TURN` radians (a point target can
-    hairpin, a vehicle-like one does not)."""
+    hairpin, a vehicle-like one does not). `rng` is anything whose
+    `uniform(low, high)` draws one float, such as an `Rng`."""
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = \
         np.asarray(bounds, dtype=np.float64).tolist()
     pts = [np.asarray(start, dtype=np.float64)]
@@ -158,7 +160,7 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     Deterministic per seed. Every obstacle keeps `clearance` meters between
     its surface and each keep_clear point.
     """
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     w, h = float(area[0]), float(area[1])
     nx, ny = int(round(w / resolution)), int(round(h / resolution))
     grid = OccupancyGrid.empty(resolution, (nx, ny, 1))
@@ -170,11 +172,12 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     # one candidate is the draws (cx, cy, r) in this order; a round draws
     # as many as obstacles are left, and what one obstacle does not use
     # the next one tries
-    low = (0.0, 0.0, float(radius_range[0]))
-    high = (w, h, float(radius_range[1]))
+    r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
     placed = failed = 0
     while placed < count:
-        cand = rng.uniform(low, high, size=(count - placed, 3))
+        cand = np.array([[rng.uniform(0.0, w), rng.uniform(0.0, h),
+                          rng.uniform(r_lo, r_hi)]
+                         for _ in range(count - placed)])
         ok = (np.hypot(keep_x - cand[:, :1], keep_y - cand[:, 1:2])
               >= cand[:, 2:] + clearance).all(axis=1)
         for (cx, cy, r), clear in zip(cand.tolist(), ok.tolist()):
@@ -533,7 +536,7 @@ def _load_target(kind, t: SimpleNamespace, esdf: ESDFField, seed: int,
     if not ((r.bounds[:, 0] <= r.start) & (r.start <= r.bounds[:, 1])).all():
         raise _bad("target.random.start", "inside target.random.bounds",
                    r.start.tolist())
-    return random_target_script(np.random.default_rng(seed + 1), esdf,
+    return random_target_script(Rng(seed + 1), esdf,
                                 r.start, r.speed, duration, r.bounds,
                                 r.clearance)
 
@@ -698,10 +701,11 @@ class Planner:
         sc = self.scenario = scenario
         self.traced = traced
         self.dt_knot = sc.horizon / (sc.num_control_points - 3)
-        # the prediction at half-knot steps; its even rows are the knots'
+        # the prediction at half-knot steps; its even rows are the knots',
+        # and it spans every search (the loader holds search_horizon to
+        # the horizon)
         self.track_offsets = np.arange(
-            0, sc.search_config.horizon_slack
-            * max(sc.search_horizon, sc.horizon) + self.dt_knot,
+            0, sc.search_config.horizon_slack * sc.horizon + self.dt_knot,
             self.dt_knot / 2.0)
         self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
         self.weights = sc.effective_weights()

@@ -15,6 +15,16 @@ from visiplan.costs import TERMS
 from visiplan.sim import bundled_scenario
 
 
+def _row(scenario, path, value, named, tag):
+    """A row of `test_malformed_value_exits_2_naming_it` whose value is a
+    list or an object, with an id that does not change when a row is added
+    before it: built from its dotted path and a tag that tells apart the
+    rows that inject at one path (the tags keep the names these rows had
+    when their ids counted rows)."""
+    return pytest.param(scenario, path, value, named,
+                        id=f"{scenario}-{path}-{tag}-{named}")
+
+
 @pytest.fixture(scope="module")
 def mini_path():
     return str(bundled_scenario("mini"))
@@ -154,40 +164,47 @@ class TestRunCommand:
             assert f"'{section}.{key}'" in err
 
     @pytest.mark.parametrize("scenario, path, value, named", [
-        ("mini", "target.path", [["a", 1, 0], [8.0, 7.5, 0.0]], "target.path"),
-        ("mini", "target.path", [[4.0, 6.0], [8.0, 7.5]], "target.path"),
+        _row("mini", "target.path", [["a", 1, 0], [8.0, 7.5, 0.0]],
+             "target.path", "value0"),
+        _row("mini", "target.path", [[4.0, 6.0], [8.0, 7.5]], "target.path",
+             "value1"),
         # timed waypoints are a deleted target kind, so their key is unknown
-        ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
-                                          [1.0, "x", 6.0, 0.0]]},
-         "target.waypoints"),
+        _row("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
+                                              [1.0, "x", 6.0, 0.0]]},
+             "target.waypoints", "value2"),
         ("forest", "map.generator.area", "big", "map.generator.area"),
         ("mini", "target.speed", 0, "target.speed"),
         ("mini", "replan_period", 0, "replan_period"),
         ("mini", "num_control_points", 3, "num_control_points"),
-        ("forest", "map.generator.radius_range", [0.5],
-         "map.generator.radius_range"),
+        _row("forest", "map.generator.radius_range", [0.5],
+             "map.generator.radius_range", "value7"),
         ("mini", "duration", -1, "duration"),
-        ("mini", "map.dims", [10, 10], "map.dims"),
-        ("mini", "map.dims", ["a", 10, 1], "map.dims"),
+        _row("mini", "map.dims", [10, 10], "map.dims", "value9"),
+        _row("mini", "map.dims", ["a", 10, 1], "map.dims", "value10"),
         ("mini", "map.resolution", "x", "map.resolution"),
-        ("mini", "map.occupied", [["a", 1, 0]], "map.occupied"),
-        ("mini", "map.occupied", [[1, 0]], "map.occupied"),
+        _row("mini", "map.occupied", [["a", 1, 0]], "map.occupied",
+             "value12"),
+        _row("mini", "map.occupied", [[1, 0]], "map.occupied", "value13"),
         ("case1", "map.resolution", "x", "map.resolution"),
-        ("forest", "map.generator.area", [-20, 20], "map.generator.area"),
-        ("mini", "map.origin", [0, 0], "map.origin"),
-        ("case1", "map.origin", [0, 0], "map.origin"),
-        ("mini", "map.origin", [0, float("nan"), 0], "map.origin"),
-        ("case1", "map.origin", [0, float("nan"), 0], "map.origin"),
+        _row("forest", "map.generator.area", [-20, 20],
+             "map.generator.area", "value15"),
+        _row("mini", "map.origin", [0, 0], "map.origin", "value16"),
+        _row("case1", "map.origin", [0, 0], "map.origin", "value17"),
+        _row("mini", "map.origin", [0, float("nan"), 0], "map.origin",
+             "value18"),
+        _row("case1", "map.origin", [0, float("nan"), 0], "map.origin",
+             "value19"),
         # unknown keys in the sections only a forest scenario has
         ("forest", "map.generator.bogus", 1.0, "map.generator.bogus"),
         ("forest", "target.random.start_hold", 1.0,
          "target.random.start_hold"),
-        ("case1", "map.dims", [10, 10, 1], "map.dims"),
+        _row("case1", "map.dims", [10, 10, 1], "map.dims", "value22"),
         # a random walk that could never start, or a negative clearance
-        ("forest", "target.random.bounds",
-         [[18.5, 1.5], [1.5, 18.5], [0.0, 0.0]], "target.random.bounds"),
-        ("forest", "target.random.start", [0.5, 10.0, 0.0],
-         "target.random.start"),
+        _row("forest", "target.random.bounds",
+             [[18.5, 1.5], [1.5, 18.5], [0.0, 0.0]], "target.random.bounds",
+             "value23"),
+        _row("forest", "target.random.start", [0.5, 10.0, 0.0],
+             "target.random.start", "value24"),
         ("forest", "target.random.clearance", -0.1,
          "target.random.clearance"),
         ("forest", "map.generator.clearance", -0.5,
@@ -217,10 +234,11 @@ class TestRunCommand:
         ("mini", "predict.ridge", -1.0, "predict.ridge"),
         # an ASCII grid file needs a resolution; waypoints are unknown even
         # when well formed
-        ("case1", "map", {"file": "case1_map.txt"}, "map.resolution"),
-        ("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
-                                          [0.0, 5.0, 6.0, 0.0]]},
-         "target.waypoints"),
+        _row("case1", "map", {"file": "case1_map.txt"}, "map.resolution",
+             "value46"),
+        _row("mini", "target", {"waypoints": [[0.0, 4.0, 6.0, 0.0],
+                                              [0.0, 5.0, 6.0, 0.0]]},
+             "target.waypoints", "value47"),
         # a finite duration whose step count overflows, and finite values
         # that crashed or hung a run: a search horizon past the spline's or
         # past what the expansion budget reaches, and deleted settings
@@ -415,19 +433,27 @@ def test_run_writes_the_same_bytes_under_two_blas_threads(mini_path,
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    """The planner and the CLI run on numpy alone: a fresh interpreter that
-    flies a short mission has loaded no scipy module."""
-    raw = json.loads(bundled_scenario("mini").read_text())
-    raw["duration"] = 0.5
-    scenario = tmp_path / "short.json"
-    scenario.write_text(json.dumps(raw))
+    """The planner and the CLI run on numpy alone, and without numpy's
+    random package or a process pool: a fresh interpreter that flies a
+    short random forest through `sim.run` and `visiplan run` on a short
+    mini.json has loaded no scipy, `numpy.random` or
+    `concurrent.futures.process` module. (This process cannot tell: test
+    modules import them.)"""
+    scenarios = {}
+    for name in ("forest", "mini"):
+        raw = json.loads(bundled_scenario(name).read_text())
+        raw["duration"] = 0.3
+        scenarios[name] = tmp_path / f"{name}.json"
+        scenarios[name].write_text(json.dumps(raw))
     script = (
         "import sys\n"
-        "import visiplan, visiplan.cli\n"
-        f"code = visiplan.cli.main(['run', '--scenario', {str(scenario)!r},"
+        "from visiplan import cli, sim\n"
+        f"sim.run(sim.load_scenario({str(scenarios['forest'])!r}))\n"
+        f"code = cli.main(['run', '--scenario', {str(scenarios['mini'])!r},"
         f" '--out', {str(tmp_path / 'out')!r}])\n"
         "assert code == 0, code\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith(('numpy.random', 'concurrent.futures.process'))))"
     )
     done = subprocess.run([sys.executable, "-c", script],
                           env=_subprocess_env(), capture_output=True,

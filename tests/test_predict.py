@@ -163,7 +163,8 @@ def test_knot_track_is_every_second_half_knot_row(data):
     sc = replace(
         load_scenario(bundled_scenario("mini")), num_control_points=n,
         horizon=horizon,
-        search_horizon=data.draw(st.floats(0.3, 8.0), label="search_horizon"),
+        search_horizon=data.draw(st.floats(0.3, horizon),
+                                 label="search_horizon"),
         search_config=SearchConfig(horizon_slack=data.draw(
             st.floats(1.0, 3.0), label="horizon_slack")))
     planner = Planner(sc)
