@@ -23,7 +23,7 @@ HOVER_EPS = 1e-3           # horizontal speed below which tracking is skipped
 TRACKING_GATE_SPEED = 0.1  # full tracking-term strength above this speed
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisibilityParams:
     od_min: float = 2.5
     od_max: float = 3.5

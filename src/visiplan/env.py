@@ -221,7 +221,7 @@ def require_valid_fields(config, nonnegative=()) -> None:
             raise FieldError(f"{f.name} must be {what}, got {value!r}",
                              f.name)
         if f.type == "int":
-            setattr(config, f.name, int(value))
+            object.__setattr__(config, f.name, int(value))
 
 
 def load_grid(path, resolution: float,

@@ -163,9 +163,6 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
             break
 
     unpack_into(best_x, traj)
-    # boundary block untouched by construction; restate exactly from input
-    traj.q[:3] = initial.q[:3]
-    traj.phi[:3] = initial.phi[:3]
     return OptimizeResult(traj, best_report, iteration, termination, trace)
 
 

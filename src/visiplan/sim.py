@@ -25,7 +25,7 @@ from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
                     TargetTrack, VisibilityParams)
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .predict import HistoryBuffer, fit, predict_track
 from .rng import Rng
 from .search import (GOAL_TOLERANCE, TAU, SearchConfig, SearchError,
@@ -212,8 +212,8 @@ class Scenario:
     """A loaded tracking scenario, built by `scenario_from_dict` from the
     scenario table, which owns the defaults and bounds of what a scenario
     file sets: the mission's world, target, vehicle, sensor and prediction
-    model. The fields with defaults are the planner's fixed settings, the
-    same for every scenario. `esdf` is the truncated ESDF of `grid` at
+    model. The planner's fixed settings are class attributes, not fields,
+    so no scenario can set them. `esdf` is the truncated ESDF of `grid` at
     `d_trunc`, built once at load and used by the planner; it belongs to
     that grid, so the grid must not change after loading."""
 
@@ -233,15 +233,15 @@ class Scenario:
     predict_window: float
     predict_v_max: float
     mode: str
-    replan_period: float = 0.1
-    horizon: float = 3.0                # spline horizon (s)
-    num_control_points: int = 33
-    d_trunc: float = 5.0                # ESDF truncation (m)
-    predict_ridge: float = 1e-4
-    params: VisibilityParams = field(default_factory=VisibilityParams)
-    weights: CostWeights = field(default_factory=CostWeights)
-    optimizer_config: OptimizerConfig = field(
-        default_factory=OptimizerConfig)
+
+    # the planner's fixed settings, the same for every scenario
+    replan_period = 0.1
+    horizon = 3.0                       # spline horizon (s)
+    num_control_points = 33
+    d_trunc = 5.0                       # ESDF truncation (m)
+    predict_ridge = 1e-4
+    params = VisibilityParams()
+    weights = CostWeights()
 
     def effective_weights(self) -> CostWeights:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
@@ -763,7 +763,7 @@ class Planner:
         # knot m's time and half-knot 2m's time both round m * dt_knot once
         track = TargetTrack(track_all.c[:2 * sc.num_control_points - 5:2])
         result = optimize(seed_traj, track, sc.esdf, sc.params, self.weights,
-                          sc.limits, sc.optimizer_config)
+                          sc.limits)
         return result.trajectory, Replan(
             t, expanded, result.trace, result.final_report.term_values())
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from visiplan.predict import (HistoryBuffer, PredictionModel,
                               TargetObservation, fit, predict_track)
 from visiplan.search import TAU, SearchConfig
-from visiplan.sim import Planner, bundled_scenario, load_scenario
+from visiplan.sim import Planner, Scenario, bundled_scenario, load_scenario
 
 
 def obs(times, fn):
@@ -161,13 +162,16 @@ def test_knot_track_is_every_second_half_knot_row(data):
     n = data.draw(st.integers(4, 60), label="num_control_points")
     horizon = data.draw(st.floats(0.3, 8.0), label="horizon")
     sc = replace(
-        load_scenario(bundled_scenario("mini")), num_control_points=n,
-        horizon=horizon,
+        load_scenario(bundled_scenario("mini")),
         search_horizon=data.draw(st.floats(0.3, horizon),
                                  label="search_horizon"),
         search_config=SearchConfig(horizon_slack=data.draw(
             st.floats(1.0, 3.0), label="horizon_slack")))
-    planner = Planner(sc)
+    # the planner's sizes are Scenario constants; the planner reads them
+    # once, when it is built
+    with mock.patch.multiple(Scenario, num_control_points=n,
+                             horizon=horizon):
+        planner = Planner(sc)
     degree = data.draw(st.integers(0, 5), label="degree")
     scale = data.draw(st.sampled_from([0.01, 0.3, 1.0, 5.0]), label="scale")
     coeffs = np.array(data.draw(st.lists(

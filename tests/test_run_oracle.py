@@ -21,7 +21,7 @@ import pytest
 
 from visiplan import optimizer, sim
 from visiplan.env import OccupancyGrid
-from visiplan.optimizer import optimize
+from visiplan.optimizer import OptimizerConfig, optimize
 from visiplan.predict import HistoryBuffer, fit, predict_track
 from visiplan.search import (GOAL_TOLERANCE, SearchError, raycast_occluded,
                              search)
@@ -178,7 +178,7 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
                                          yaw_targets=yaw_targets)
         track = predict_track(model, t + wp_offsets)
         result = optimize(seed_traj, track, esdf, sc.params, weights,
-                          sc.limits, sc.optimizer_config)
+                          sc.limits, OptimizerConfig())
         committed = (result.trajectory, t)
         report.replan_times.append(time.perf_counter() - t_wall)
         if collect_traces:

@@ -136,10 +136,10 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
         else _number(raw, "seed", "scenario", 0, int)
 
     limits = _config(DynamicLimits, raw, "limits")
-    params = _config(VisibilityParams, raw, "params")
-    weights = _config(CostWeights, raw, "weights")
+    _config(VisibilityParams, raw, "params")    # checked; Scenario fixes it
+    _config(CostWeights, raw, "weights")
     search_cfg = _config(SearchConfig, raw, "search")
-    opt_cfg = _config(OptimizerConfig, raw, "optimizer")
+    _config(OptimizerConfig, raw, "optimizer")
 
     grid = _reference_load_map(_require(raw, "map", "scenario"), base_dir, eff_seed, raw)
     d_trunc = _number(raw, "d_trunc", "scenario", 5.0)
@@ -162,6 +162,13 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
     horizon = _number(raw, "horizon", "scenario", 3.0, above=0)
     pr = _known(raw.get("predict", {}), "predict",
                 {"degree", "ridge", "window", "v_max"})
+    # the planner's fixed settings are class attributes of Scenario, not
+    # fields; their keys are still read and checked
+    _number(raw, "replan_period", "scenario", 0.1, above=0)
+    # a cubic B-spline needs one free control point past the three
+    # pinned by the start state
+    _number(raw, "num_control_points", "scenario", 33, int, above=3)
+    _number(pr, "ridge", "predict", 1e-4)
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
@@ -172,25 +179,16 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
             _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
         fov_v_half=math.radians(
             _number(raw, "fov_v_deg", "scenario", 65.0) / 2.0),
-        replan_period=_number(raw, "replan_period", "scenario", 0.1,
-                              above=0),
         duration=duration,
-        horizon=horizon,
         search_horizon=_number(raw, "search_horizon", "scenario", horizon,
                                above=0),
-        # a cubic B-spline needs one free control point past the three
-        # pinned by the start state
-        num_control_points=_number(raw, "num_control_points", "scenario",
-                                   33, int, above=3),
         seed=eff_seed,
-        limits=limits, params=params, weights=weights,
-        search_config=search_cfg, optimizer_config=opt_cfg,
+        limits=limits,
+        search_config=search_cfg,
         predict_degree=_number(pr, "degree", "predict", 3, int),
-        predict_ridge=_number(pr, "ridge", "predict", 1e-4),
         predict_window=_number(pr, "window", "predict", 2.0),
         predict_v_max=_number(pr, "v_max", "predict", 2.5),
         mode=mode,
-        d_trunc=d_trunc,
     )
     return scenario
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visiplan import sim
-from visiplan.costs import DynamicLimits
+from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
 from visiplan.env import FieldError, OccupancyGrid, build_esdf
+from visiplan.optimizer import OptimizerConfig
 from visiplan.search import TAU, SearchConfig, raycast_occluded
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, Scenario,
                           ScenarioError, WaypointScript, _cone_contains,
@@ -212,6 +213,30 @@ class TestScenarioLoading:
         raw["search"] = {"max_expansions": 4000.0}
         value = scenario_from_dict(raw).search_config.max_expansions
         assert type(value) is int and value == 4000
+
+    def test_planner_settings_are_constants_not_fields(self):
+        """A Scenario's fields are what the loader fills from a file, the
+        mode and the seed; the planner's fixed settings are class constants
+        that every scenario reads alike and no caller can set."""
+        assert [f.name for f in dataclasses.fields(Scenario)] == [
+            "name", "grid", "esdf", "start", "target", "fov_h_half",
+            "fov_v_half", "duration", "search_horizon", "seed", "limits",
+            "search_config", "predict_degree", "predict_window",
+            "predict_v_max", "mode"]
+        flown = {"replan_period": 0.1, "horizon": 3.0,
+                 "num_control_points": 33, "d_trunc": 5.0,
+                 "predict_ridge": 1e-4, "params": VisibilityParams(),
+                 "weights": CostWeights()}
+        sc = load_scenario(bundled_scenario("mini"))
+        for name, value in flown.items():
+            assert getattr(Scenario, name) == value
+            assert getattr(sc, name) == value
+            with pytest.raises(TypeError):
+                dataclasses.replace(sc, **{name: value})
+        with pytest.raises(TypeError):
+            dataclasses.replace(sc, optimizer_config=OptimizerConfig())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.params.od_min = 1.0
 
     @pytest.mark.parametrize("name", ["case1", "case2", "mini", "forest"])
     def test_defaults_are_the_flown_values(self, name):
