@@ -8,8 +8,7 @@ from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
 from .env import ESDFField, GridError, OccupancyGrid, build_esdf, load_grid
 from .optimizer import (NumericError, OptimizeResult, OptimizerConfig,
                         Termination, optimize)
-from .predict import (HistoryBuffer, PredictionModel, TargetObservation, fit,
-                      predict_track)
+from .predict import PredictionModel, fit, predict_track
 from .search import (InvalidStart, SearchConfig, SearchExhausted,
                      raycast_occluded, search)
 from .sim import (Planner, RunReport, Scenario, generate_random_forest,

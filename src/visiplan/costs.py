@@ -10,6 +10,7 @@ Inequality constraints enter through the C2 hinge penalty(x) = max(0, x)^3.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
@@ -68,6 +69,12 @@ class DynamicLimits:
 
     def __post_init__(self):
         require_valid_fields(self)
+        # the costs and the search square every limit
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value * value):
+                raise FieldError(f"{f.name} must have a finite square, "
+                                 f"got {value!r}", f.name)
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Target motion prediction from an observation buffer.
+"""Target motion prediction from the observations of a trailing window.
 
-A per-axis polynomial is fitted over a sliding window by ridge-regularized
+A per-axis polynomial is fitted to the observations by ridge-regularized
 least squares (the ridge acts on non-constant coefficients only). Forecast
 speed is capped: once the fitted velocity would exceed the bound, the track
 continues at the bound along the last direction (constant-velocity tail).
@@ -15,15 +15,6 @@ import numpy as np
 from .costs import TargetTrack
 
 SPEED_PROBE_DT = 0.01     # s, spacing of the speed-bound probe
-
-
-@dataclass
-class TargetObservation:
-    t: float
-    position: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
 
 
 @dataclass
@@ -57,36 +48,19 @@ class PredictionModel:
         return powers @ self.coeffs[1:]
 
 
-class HistoryBuffer:
-    """Single-writer observation buffer with a bounded time span."""
-
-    def __init__(self, span: float = 4.0):
-        self.span = span
-        self._obs: list[TargetObservation] = []
-
-    def push(self, t: float, position) -> None:
-        if self._obs and t <= self._obs[-1].t:
-            raise ValueError("observation timestamps must be strictly increasing")
-        self._obs.append(TargetObservation(float(t), position))
-        cutoff = t - self.span
-        while self._obs and self._obs[0].t < cutoff:
-            self._obs.pop(0)
-
-    def snapshot(self) -> list[TargetObservation]:
-        return list(self._obs)
-
-
-def fit(history: list[TargetObservation], *, degree: int, ridge: float,
-        window: float, horizon: float, v_max: float) -> PredictionModel:
-    """Fit the prediction polynomial to the trailing `window` seconds."""
-    if not history:
+def fit(times, points, *, degree: int, ridge: float, horizon: float,
+        v_max: float) -> PredictionModel:
+    """Fit the prediction polynomial to the target positions `points` seen
+    at the strictly increasing `times`; the caller picks the window."""
+    if not len(times):
         raise ValueError("empty observation history")
-    t_last = history[-1].t
-    obs = [o for o in history if o.t >= t_last - window]
-    times = np.array([o.t for o in obs])
-    pts = np.stack([o.position for o in obs])
+    times = np.array(times, dtype=np.float64)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("observation timestamps must be strictly increasing")
+    pts = np.array(points, dtype=np.float64)
+    t_last = float(times[-1])
 
-    deg = min(degree, len(obs) - 1)
+    deg = min(degree, len(times) - 1)
     coeffs = _ridge_polyfit(times - t_last, pts, deg, ridge)
     if coeffs is None:       # rank-deficient even with the ridge
         deg = 1

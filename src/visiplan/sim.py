@@ -26,7 +26,7 @@ from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
 from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
                   build_esdf, finite_array, is_number, load_grid)
 from .optimizer import optimize
-from .predict import HistoryBuffer, fit, predict_track
+from .predict import fit, predict_track
 from .rng import Rng
 from .search import (GOAL_TOLERANCE, TAU, SearchConfig, SearchError,
                      raycast_occluded, search)
@@ -694,8 +694,9 @@ Replan = namedtuple("Replan", "t expanded trace costs")
 class Planner:
     """The replan pipeline of one run: predict the target, reuse the last
     front-end path or search a new one, fit a seed spline to it and optimize
-    position and yaw. Keeps the path between cycles. Only a `traced`
-    planner keeps its searches' expansion rows."""
+    position and yaw. It holds only the scenario's constants: the caller
+    keeps the front-end path between cycles. Only a `traced` planner keeps
+    its searches' expansion rows."""
 
     def __init__(self, scenario: Scenario, traced: bool = False):
         sc = self.scenario = scenario
@@ -711,15 +712,19 @@ class Planner:
         self.weights = sc.effective_weights()
         # visibility-blind: the front end stops rejecting sight-losing nodes
         self.occlusion_check = sc.mode != "baseline"
-        self.held_path = None   # (abs_points, abs_times) of the last search
 
-    def replan(self, t: float, state: RobotState, history: HistoryBuffer):
-        """The cycle at time `t` from `state`: the optimized trajectory
-        (None when the search failed) and the cycle's `Replan` record."""
+    def replan(self, t: float, state: RobotState, obs_times, obs_points,
+               held):
+        """The cycle at time `t` from `state`, predicting from the target
+        positions `obs_points` seen at `obs_times` and reusing `held`, the
+        front-end path the last cycle returned (absolute points and times,
+        or None). Gives the optimized trajectory, the cycle's `Replan`
+        record and the path to hold for the next cycle; both None when the
+        search failed."""
         sc = self.scenario
-        model = fit(history.snapshot(), degree=sc.predict_degree,
-                    ridge=sc.predict_ridge, window=sc.predict_window,
-                    horizon=sc.horizon, v_max=sc.predict_v_max)
+        model = fit(obs_times, obs_points, degree=sc.predict_degree,
+                    ridge=sc.predict_ridge, horizon=sc.horizon,
+                    v_max=sc.predict_v_max)
         track_all = predict_track(model, t + self.track_offsets)
 
         def target_at(s, _track=track_all, _dt=self.dt_knot / 2.0):
@@ -729,7 +734,7 @@ class Planner:
         expanded = [] if self.traced else None
         # the previous front-end path usually still checks out against the
         # fresh prediction; re-searching every cycle would dominate latency
-        reused = _revalidate_path(self.held_path, t, state, target_at,
+        reused = _revalidate_path(held, t, state, target_at,
                                   sc.grid, sc.esdf, sc.limits,
                                   self.occlusion_check, sc.search_horizon,
                                   self.standoff)
@@ -743,10 +748,9 @@ class Planner:
                                     standoff=self.standoff,
                                     occlusion_check=self.occlusion_check,
                                     trace=expanded)
-                self.held_path = (pts + 0.0, times + t)
+                held = (pts + 0.0, times + t)
             except SearchError:
-                self.held_path = None
-                return None, Replan(t, expanded, None, None)
+                return None, Replan(t, expanded, None, None), None
 
         if sc.mode == "baseline":
             yaw_targets = None
@@ -764,8 +768,9 @@ class Planner:
         track = TargetTrack(track_all.c[:2 * sc.num_control_points - 5:2])
         result = optimize(seed_traj, track, sc.esdf, sc.params, self.weights,
                           sc.limits)
-        return result.trajectory, Replan(
-            t, expanded, result.trace, result.final_report.term_values())
+        cycle = Replan(t, expanded, result.trace,
+                       result.final_report.term_values())
+        return result.trajectory, cycle, held
 
 
 # ---------------------------------------------------------------------------
@@ -774,13 +779,14 @@ class Planner:
 
 def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     sc = scenario
-    history = HistoryBuffer(span=sc.predict_window * 2.0)
     planner = Planner(sc, traced=collect_traces)
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
                        replans=[] if collect_traces else None)
     half_bins = report.heatmap.shape[0] // 2
 
     committed = None        # (trajectory, start time)
+    held = None             # the front-end path the planner reuses
+    obs_times, obs_points = [], []  # the target seen in the fit window
     n_steps = int(round(sc.duration / sc.replan_period))
 
     for i in range(n_steps + 1):
@@ -825,12 +831,16 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
             report.occlusion_events = int(occluded)
             break
 
-        history.push(t, target_p)
+        obs_times.append(t)
+        obs_points.append(target_p)
+        while obs_times[0] < t - sc.predict_window:
+            del obs_times[0], obs_points[0]
         if i == n_steps:
             break
 
         t_wall = time.perf_counter()
-        traj, cycle = planner.replan(t, state, history)
+        traj, cycle, held = planner.replan(t, state, obs_times, obs_points,
+                                           held)
         report.replan_times.append(time.perf_counter() - t_wall)
         if report.replans is not None:
             report.replans.append(cycle)

@@ -254,6 +254,14 @@ class TestRunCommand:
         ("mini", "horizon", 1e-40, "horizon"),
         ("mini", "search.horizon_slack", 1e300, "search.horizon_slack"),
         ("mini", "num_control_points", 1e7, "num_control_points"),
+        # a finite limit whose square overflows: the costs and the search
+        # square every limit
+        ("mini", "limits.v_m", 1e200, "limits.v_m"),
+        ("mini", "limits.a_m", 1e200, "limits.a_m"),
+        ("mini", "limits.v_phi_m", 1e200, "limits.v_phi_m"),
+        ("mini", "limits.a_phi_m", 1e200, "limits.a_phi_m"),
+        ("mini", "limits.d_thr", 1e200, "limits.d_thr"),
+        ("mini", "limits.psi_thr", 1e200, "limits.psi_thr"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -274,6 +282,15 @@ class TestRunCommand:
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_limit_with_a_finite_square_flies(self, tmp_path):
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["duration"] = 0.3
+        raw["limits"] = {"v_m": 1.3e154}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_negative_seed_option_exits_2(self, mini_path, tmp_path, capsys):
         code = main(["run", "--scenario", mini_path, "--seed", "-1",

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visiplan.predict import (HistoryBuffer, PredictionModel,
-                              TargetObservation, fit, predict_track)
+from visiplan import sim
+from visiplan.predict import PredictionModel, fit, predict_track
 from visiplan.search import TAU, SearchConfig
 from visiplan.sim import Planner, Scenario, bundled_scenario, load_scenario
 
 
 def obs(times, fn):
-    return [TargetObservation(float(t), fn(t)) for t in times]
+    """The observation times and the positions `fn` gives at them."""
+    return [float(t) for t in times], [fn(t) for t in times]
 
 
 def normal_equations_oracle(times, pts, degree, ridge):
@@ -30,14 +31,14 @@ class TestFit:
         v = np.array([0.5, -0.2, 0.0])
         p0 = np.array([1.0, 2.0, 0.0])
         history = obs(np.linspace(0, 2, 21), lambda t: p0 + v * t)
-        model = fit(history, degree=2, ridge=1e-9, window=2.0, horizon=3.0,
+        model = fit(*history, degree=2, ridge=1e-9, horizon=3.0,
                     v_max=2.5)
         for t in np.linspace(2.0, 5.0, 7):
             assert np.linalg.norm(model.position(t) - (p0 + v * t)) < 1e-6
 
     def test_constant_history(self):
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([3.0, 1.0, 0.0]))
-        model = fit(history, degree=3, ridge=1e-4, window=2.0, horizon=3.0,
+        model = fit(*history, degree=3, ridge=1e-4, horizon=3.0,
                     v_max=2.5)
         track = predict_track(model, [1.5, 2.0, 2.5])
         assert np.allclose(track.c, [3.0, 1.0, 0.0])
@@ -48,41 +49,60 @@ class TestFit:
         times = np.linspace(0, 2, 25)
         truth = lambda t: np.array([0.3 * t * t, 1.0 - 0.5 * t, 0.0])
         pts = np.stack([truth(t) + rng.normal(0, 0.01, 3) for t in times])
-        history = [TargetObservation(float(t), p) for t, p in zip(times, pts)]
-        model = fit(history, degree=2, ridge=1e-4, window=10.0, horizon=3.0,
+        model = fit(times, pts, degree=2, ridge=1e-4, horizon=3.0,
                     v_max=2.5)
         oracle = normal_equations_oracle(times, pts, 2, 1e-4)
         assert np.max(np.abs(model.coeffs - oracle)) < 1e-8
 
     def test_degree_capped_by_count(self):
         history = obs([0.0, 0.1], lambda t: np.array([t, 0.0, 0.0]))
-        model = fit(history, degree=3, ridge=1e-4, window=2.0, horizon=3.0,
+        model = fit(*history, degree=3, ridge=1e-4, horizon=3.0,
                     v_max=2.5)
         assert model.degree == 1
 
     def test_single_observation_constant(self):
-        model = fit(obs([0.0], lambda t: np.array([1.0, 2.0, 3.0])),
-                    degree=3, ridge=1e-4, window=2.0, horizon=3.0, v_max=2.5)
+        model = fit(*obs([0.0], lambda t: np.array([1.0, 2.0, 3.0])),
+                    degree=3, ridge=1e-4, horizon=3.0, v_max=2.5)
         assert model.degree == 0
         assert np.allclose(model.position(4.0), [1.0, 2.0, 3.0])
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            fit([], degree=3, ridge=1e-4, window=2.0, horizon=3.0, v_max=2.5)
+            fit([], [], degree=3, ridge=1e-4, horizon=3.0, v_max=2.5)
 
-    def test_window_restricts_fit(self):
-        # junk long ago must not disturb the recent linear segment
-        early = obs(np.linspace(0, 1, 5), lambda t: np.array([50.0, 0, 0]))
-        late = obs(np.linspace(3, 5, 21), lambda t: np.array([t, 0, 0]))
-        model = fit(early + late, degree=2, ridge=1e-9, window=2.0, horizon=3.0,
-                    v_max=2.5)
-        assert np.linalg.norm(model.position(5.0) - [5.0, 0, 0]) < 1e-6
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1], [0.0, 0.2, 0.1]],
+                             ids=["equal", "decreasing"])
+    def test_non_increasing_times_rejected(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit(times, np.zeros((3, 3)), degree=1, ridge=1e-4, horizon=3.0,
+                v_max=2.5)
+
+    def test_run_fits_the_trailing_window(self, monkeypatch):
+        # every fit of a run reads the target at each step of the last
+        # `predict_window` seconds, and nothing older
+        calls = []
+
+        def recording(times, points, **kwargs):
+            calls.append((list(times), np.array(points)))
+            return fit(times, points, **kwargs)
+
+        monkeypatch.setattr(sim, "fit", recording)
+        sc = replace(load_scenario(bundled_scenario("mini")), duration=3.0,
+                     predict_window=0.75)
+        report = sim.run(sc)
+        assert len(calls) == len(report.replan_times) > 10
+        seen = [(s.t, s.target) for s in report.steps]
+        for times, points in calls:
+            want = [(t, p) for t, p in seen
+                    if times[-1] - sc.predict_window <= t <= times[-1]]
+            assert times == [t for t, _ in want]
+            assert np.array_equal(points, [p for _, p in want])
 
 
 class TestPredictTrack:
     def test_linear_model_track(self):
         history = obs(np.linspace(0, 2, 21), lambda t: np.array([t, 0.0, 0.0]))
-        model = fit(history, degree=1, ridge=1e-9, window=2.0, horizon=4.0,
+        model = fit(*history, degree=1, ridge=1e-9, horizon=4.0,
                     v_max=10.0)
         track = predict_track(model, [1.0, 2.0, 3.0])
         assert np.allclose(track.c, [[1, 0, 0], [2, 0, 0], [3, 0, 0]],
@@ -92,7 +112,7 @@ class TestPredictTrack:
         # fitted speed 4 m/s against a 2.5 m/s bound: the tail must move at
         # exactly the bound
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([4.0 * t, 0, 0]))
-        model = fit(history, degree=1, ridge=1e-12, window=2.0, horizon=5.0,
+        model = fit(*history, degree=1, ridge=1e-12, horizon=5.0,
                     v_max=2.5)
         times = np.arange(1.0, 5.0, 0.25)
         track = predict_track(model, times)
@@ -102,7 +122,7 @@ class TestPredictTrack:
 
     def test_extrapolation_beyond_horizon(self):
         history = obs(np.linspace(0, 1, 11), lambda t: np.array([t, 0, 0]))
-        model = fit(history, degree=1, ridge=1e-9, window=2.0, horizon=2.0,
+        model = fit(*history, degree=1, ridge=1e-9, horizon=2.0,
                     v_max=10.0)
         track = predict_track(model, [1.5, 2.5, 6.0])
         # constant-velocity tail: equal spacing after the horizon
@@ -114,41 +134,26 @@ class TestPredictTrack:
         history = obs(np.linspace(0, 2, 30),
                       lambda t: np.array([np.sin(t), 0.5 * t, 0])
                       + rng.normal(0, 0.005, 3))
-        model = fit(history, degree=3, ridge=1e-4, window=10.0, horizon=3.0,
+        model = fit(*history, degree=3, ridge=1e-4, horizon=3.0,
                     v_max=2.5)
         track = predict_track(model, [2.0])
-        gap = np.linalg.norm(track.c[0] - history[-1].position)
-        # the window covers the whole history
-        resid = [model.position(o.t) - o.position for o in history]
+        times, points = history
+        gap = np.linalg.norm(track.c[0] - points[-1])
+        # the fit reads the whole history
+        resid = [model.position(t) - p for t, p in zip(times, points)]
         rms = float(np.sqrt(np.mean(np.square(resid))))
         assert gap <= 5 * max(rms, 1e-9)
 
     def test_track_smooth_acceleration(self):
         history = obs(np.linspace(0, 2, 30),
                       lambda t: np.array([np.sin(0.8 * t), 0.3 * t, 0]))
-        model = fit(history, degree=3, ridge=1e-4, window=10.0, horizon=3.0,
+        model = fit(*history, degree=3, ridge=1e-4, horizon=3.0,
                     v_max=2.5)
         ts = np.arange(2.0, 5.0, 0.1)
         track = predict_track(model, ts)
         vel = np.diff(track.c, axis=0) / 0.1
         acc = np.linalg.norm(np.diff(vel, axis=0), axis=1) / 0.1
         assert np.all(acc < 10.0)
-
-
-class TestHistoryBuffer:
-    def test_push_and_span(self):
-        buf = HistoryBuffer(span=1.0)
-        for t in np.arange(0, 3, 0.1):
-            buf.push(float(t), [t, 0, 0])
-        snap = buf.snapshot()
-        assert snap[0].t >= 2.9 - 1.0 - 1e-9
-        assert snap[-1].t == pytest.approx(2.9)
-
-    def test_monotone_enforced(self):
-        buf = HistoryBuffer()
-        buf.push(0.0, [0, 0, 0])
-        with pytest.raises(ValueError):
-            buf.push(0.0, [1, 0, 0])
 
 
 @settings(max_examples=300)

@@ -2,8 +2,10 @@
 
 `reference_run` is `run` as it was before the replan pipeline moved into
 `Planner`, kept verbatim (only renamed, without the pose noise of the since
-deleted `pose_noise_sigma`, which no scenario set, and passing the
-occlusion check as a flag, which the search config no longer holds)
+deleted `pose_noise_sigma`, which no scenario set, passing the
+occlusion check as a flag, which the search config no longer holds, and
+keeping the target's observations in two lists cut to the prediction
+window, the rows the deleted observation buffer and the fit's window kept)
 together with its path check and rotation helper; `reference_config_echo`
 is the scenario echo as it was before the weight keys came from the
 cost-term table. The simulator must record the same steps, report and
@@ -22,7 +24,7 @@ import pytest
 from visiplan import optimizer, sim
 from visiplan.env import OccupancyGrid
 from visiplan.optimizer import OptimizerConfig, optimize
-from visiplan.predict import HistoryBuffer, fit, predict_track
+from visiplan.predict import fit, predict_track
 from visiplan.search import (GOAL_TOLERANCE, SearchError, raycast_occluded,
                              search)
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, RunReport, Scenario,
@@ -56,7 +58,7 @@ def reference_config_echo(self) -> dict:
 def reference_run(scenario: Scenario, collect_traces: bool = False):
     sc = scenario
     esdf = sc.esdf
-    history = HistoryBuffer(span=sc.predict_window * 2.0)
+    obs_times, obs_points = [], []  # the target seen in the fit window
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration)
     search_trace, opt_trace, cost_dumps = [], [], []
 
@@ -120,15 +122,18 @@ def reference_run(scenario: Scenario, collect_traces: bool = False):
             failure_latched = True
             break
 
-        history.push(t, target_p)
+        obs_times.append(t)
+        obs_points.append(target_p)
+        while obs_times[0] < t - sc.predict_window:
+            del obs_times[0], obs_points[0]
         if i == n_steps:
             break
 
         # --- replan ---------------------------------------------------------
         t_wall = time.perf_counter()
-        model = fit(history.snapshot(), degree=sc.predict_degree,
-                    ridge=sc.predict_ridge, window=sc.predict_window,
-                    horizon=sc.horizon, v_max=sc.predict_v_max)
+        model = fit(obs_times, obs_points, degree=sc.predict_degree,
+                    ridge=sc.predict_ridge, horizon=sc.horizon,
+                    v_max=sc.predict_v_max)
         s_horizon = sc.search_horizon if sc.search_horizon is not None \
             else sc.horizon
         track_all = predict_track(model, t + np.arange(
