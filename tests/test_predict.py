@@ -77,9 +77,9 @@ class TestFit:
             fit(times, np.zeros((3, 3)), degree=1, ridge=1e-4, horizon=3.0,
                 v_max=2.5)
 
-    def test_run_fits_the_trailing_window(self, monkeypatch):
-        # every fit of a run reads the target at each step of the last
-        # `predict_window` seconds, and nothing older
+    def test_window_restricts_fit(self, monkeypatch):
+        # the run cuts the window: every fit reads the target at each step
+        # of the last `predict_window` seconds, and nothing older
         calls = []
 
         def recording(times, points, **kwargs):
