@@ -75,6 +75,10 @@ class DynamicLimits:
             if not math.isfinite(value * value):
                 raise FieldError(f"{f.name} must have a finite square, "
                                  f"got {value!r}", f.name)
+        # the search sums a_m squared over up to three axes
+        if not math.isfinite(3.0 * float(self.a_m) ** 2):
+            raise FieldError(f"a_m must have a finite square times 3, got "
+                             f"{self.a_m!r}", "a_m")
 
 
 @dataclass

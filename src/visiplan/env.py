@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -34,17 +33,24 @@ class GridError(FieldError):
     (resolution, origin, dims, occupied) when there is one."""
 
 
+# The most cells a grid may hold. The largest bundled or benchmark map has
+# 200 x 200 = 40,000 cells; this admits a hundred times as many, while a
+# grid of this size, its distance field and its summed-volume table take
+# about 100 MB to build.
+MAX_CELLS = 2 ** 22
+
+
 @dataclass
 class OccupancyGrid:
     """Axis-aligned voxel grid. `origin` is the world position of the
     low corner of cell (0, 0, 0); cell centers sit at origin + (i + 0.5) * res.
-    An `occupancy` of None makes every cell free.
+    Every cell starts free.
     """
 
     resolution: float
     origin: np.ndarray
     dims: tuple[int, int, int]
-    occupancy: np.ndarray | None = field(default=None, repr=False)
+    occupancy: np.ndarray = field(init=False, repr=False)
     # (occupancy it was built from, summed-volume table)
     _counts: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -63,15 +69,12 @@ class OccupancyGrid:
         if not dims_ok:
             raise GridError(f"dims must be 3 integers >= 1, got "
                             f"{self.dims!r}", "dims")
+        if math.prod(map(int, self.dims)) > MAX_CELLS:
+            raise GridError(f"dims must hold at most {MAX_CELLS} cells, got "
+                            f"{self.dims!r}", "dims")
         self.origin = finite_array(self.origin, (3,), "origin",
                                    "3 finite numbers")
-        self.occupancy = np.zeros(self.dims, dtype=bool) \
-            if self.occupancy is None \
-            else np.asarray(self.occupancy, dtype=bool)
-        if self.occupancy.shape != tuple(self.dims):
-            raise GridError(
-                f"occupancy shape {self.occupancy.shape} != dims {self.dims}"
-            )
+        self.occupancy = np.zeros(self.dims, dtype=bool)
 
     @classmethod
     def empty(cls, resolution, dims, origin=(0.0, 0.0, 0.0)) -> "OccupancyGrid":
@@ -81,10 +84,6 @@ class OccupancyGrid:
         """Cell index containing world point p (no bounds check)."""
         idx = np.floor((np.asarray(p, float) - self.origin) / self.resolution)
         return tuple(int(v) for v in idx)
-
-    def center_of(self, cell) -> np.ndarray:
-        """World position of a cell center."""
-        return self.origin + (np.asarray(cell, float) + 0.5) * self.resolution
 
     def in_bounds(self, cell) -> bool:
         return all(0 <= c < n for c, n in zip(cell, self.dims))
@@ -114,20 +113,6 @@ class OccupancyGrid:
     def occupied_cells(self) -> np.ndarray:
         """(K, 3) int array of occupied cell indices."""
         return np.argwhere(self.occupancy)
-
-    def world_min(self) -> np.ndarray:
-        return self.origin.copy()
-
-    def world_max(self) -> np.ndarray:
-        return self.origin + np.asarray(self.dims, float) * self.resolution
-
-    def to_json_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "origin": [float(v) for v in self.origin],
-            "dims": list(self.dims),
-            "occupied": [[int(i), int(j), int(k)] for i, j, k in self.occupied_cells()],
-        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OccupancyGrid":
@@ -222,12 +207,6 @@ def require_valid_fields(config, nonnegative=()) -> None:
                              f.name)
         if f.type == "int":
             object.__setattr__(config, f.name, int(value))
-
-
-def load_grid(path, resolution: float,
-              origin=(0.0, 0.0, 0.0)) -> OccupancyGrid:
-    """Load an ASCII raster grid (see `OccupancyGrid.from_ascii`)."""
-    return OccupancyGrid.from_ascii(Path(path).read_text(), resolution, origin)
 
 
 @dataclass

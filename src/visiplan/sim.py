@@ -23,8 +23,8 @@ import numpy as np
 
 from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
                     TargetTrack, VisibilityParams)
-from .env import (ESDFField, FieldError, GridError, OccupancyGrid,
-                  build_esdf, finite_array, is_number, load_grid)
+from .env import (MAX_CELLS, ESDFField, FieldError, GridError,
+                  OccupancyGrid, build_esdf, finite_array, is_number)
 from .optimizer import optimize
 from .predict import fit, predict_track
 from .rng import Rng
@@ -59,10 +59,6 @@ class WaypointScript:
     def __init__(self, times, points):
         self.times = np.asarray(times, dtype=np.float64)
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.times.size != self.points.shape[0] or self.times.size == 0:
-            raise ScenarioError("target script times/points mismatch")
-        if np.any(np.diff(self.times) <= 0):
-            raise ScenarioError("target script times must increase")
 
     @classmethod
     def from_path(cls, points, speed: float, start_hold: float):
@@ -99,7 +95,7 @@ _WALK_MAX_TRIES = 200           # candidate legs before giving up
 
 def random_target_script(rng: Rng, esdf: ESDFField,
                          start, speed: float, duration: float,
-                         bounds, clearance: float = 0.6) -> WaypointScript:
+                         bounds, clearance: float) -> WaypointScript:
     """Random piecewise-linear walk through free space: every leg stays at
     least `clearance` from obstacles along its whole length, and consecutive
     legs turn by at most `_WALK_MAX_TURN` radians (a point target can
@@ -501,16 +497,26 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
               keep_clear) -> OccupancyGrid:
     if kind is _GRID_FILE:
         try:
-            return load_grid(base_dir / m.file, m.resolution, m.origin)
+            return OccupancyGrid.from_ascii((base_dir / m.file).read_text(),
+                                            m.resolution, m.origin)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
     if kind is _INLINE_GRID:
         return OccupancyGrid.from_json_dict(vars(m))
     g = m.generator
-    if any(round(float(a) / g.resolution) < 1 for a in g.area):
+    # cells per side as the generator rounds them, capped so that a side
+    # past the budget stays finite and still breaks it
+    nx, ny = (round(min(float(a) / g.resolution, MAX_CELLS + 1))
+              for a in g.area)
+    if min(nx, ny) < 1:
         raise ScenarioError("scenario field 'map.generator.area' must span "
                             "at least one cell at the generator's resolution "
                             f"{g.resolution!r}, got {g.area.tolist()!r}")
+    if nx * ny > MAX_CELLS:
+        raise ScenarioError("scenario field 'map.generator.area' must span "
+                            f"at most {MAX_CELLS} cells at the generator's "
+                            f"resolution {g.resolution!r}, got "
+                            f"{g.area.tolist()!r}")
     if not 0.0 < g.radius_range[0] <= g.radius_range[1]:
         raise _bad("map.generator.radius_range",
                    "a list [low, high] with 0 < low <= high",

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,14 @@ class TestRunCommand:
         ("mini", "limits.a_phi_m", 1e200, "limits.a_phi_m"),
         ("mini", "limits.d_thr", 1e200, "limits.d_thr"),
         ("mini", "limits.psi_thr", 1e200, "limits.psi_thr"),
+        # the search sums a_m squared over up to three axes
+        ("mini", "limits.a_m", 1.3e154, "limits.a_m"),
+        # grids past the cell budget, refused before they are built; the
+        # last one once crashed numpy with a side of 1e301 cells
+        _row("mini", "map.dims", [5000, 5000, 1], "map.dims", "budget"),
+        ("forest", "map.generator.resolution", 1e-3, "map.generator.area"),
+        _row("forest", "map.generator.area", [1e300, 20],
+             "map.generator.area", "huge"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -291,6 +300,31 @@ class TestRunCommand:
         path.write_text(json.dumps(raw))
         assert main(["run", "--scenario", str(path),
                      "--out", str(tmp_path / "o")]) == 0
+
+    def test_search_limit_with_a_finite_square_flies(self, tmp_path):
+        """The largest `a_m` the loader admits flies with no overflow."""
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["duration"] = 0.3
+        raw["limits"] = {"a_m": 7.7e153}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+
+    def test_map_file_past_the_cell_budget_names_it(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario("case1").read_text())
+        raw["map"]["file"] = "big.txt"
+        (tmp_path / "big.txt").write_text(("." * 2049 + "\n") * 2048)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cannot load map 'big.txt': dims must hold at most" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_option_exits_2(self, mini_path, tmp_path, capsys):
         code = main(["run", "--scenario", mini_path, "--seed", "-1",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from visiplan.env import ESDFField, GridError, OccupancyGrid, build_esdf, load_grid
+from visiplan.env import (MAX_CELLS, ESDFField, GridError, OccupancyGrid,
+                          build_esdf)
 
 
 def brute_force_esdf(grid: OccupancyGrid, d_trunc: float) -> np.ndarray:
@@ -36,6 +37,17 @@ def trilinear_oracle(field: ESDFField, p) -> float:
     return total
 
 
+def center(grid: OccupancyGrid, cell) -> np.ndarray:
+    """World position of a cell center."""
+    return grid.origin + (np.asarray(cell, float) + 0.5) * grid.resolution
+
+
+def world_box(grid: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high world corners of the grid."""
+    return grid.origin, \
+        grid.origin + np.asarray(grid.dims, float) * grid.resolution
+
+
 def random_grid(rng, max_dim=20, p_occ=0.1, flat=()) -> OccupancyGrid:
     """Every axis draws 2..max_dim cells, except the `flat` ones, which get
     a single cell."""
@@ -64,7 +76,11 @@ class TestOccupancyGrid:
     def test_roundtrip_cell_center(self):
         grid = OccupancyGrid.empty(0.25, (4, 5, 6), (-1.0, 2.0, 0.5))
         for cell in [(0, 0, 0), (3, 4, 5), (2, 1, 3)]:
-            assert grid.cell_of(grid.center_of(cell)) == cell
+            assert grid.cell_of(center(grid, cell)) == cell
+
+    def test_budget_admits_its_own_size(self):
+        grid = OccupancyGrid.empty(0.1, (2048, 2048, 1))
+        assert grid.occupancy.size == MAX_CELLS
 
     def test_invalid_dims(self):
         with pytest.raises(GridError):
@@ -81,6 +97,9 @@ class TestOccupancyGrid:
         ("x", (3, 3, 1), (0, 0, 0), "resolution"),
         (np.inf, (3, 3, 1), (0, 0, 0), "resolution"),
         (True, (3, 3, 1), (0, 0, 0), "resolution"),
+        # past the cell budget, refused before any array is built
+        (0.1, (2048, 2049, 1), (0, 0, 0), "dims"),
+        (0.1, (10 ** 6, 10 ** 6, 10 ** 6), (0, 0, 0), "dims"),
     ])
     def test_malformed_grid_names_field(self, resolution, dims, origin,
                                         named):
@@ -102,14 +121,6 @@ class TestOccupancyGrid:
             OccupancyGrid.from_json_dict(d)
         assert info.value.field == key
 
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(3)
-        grid = random_grid(rng)
-        loaded = OccupancyGrid.from_json_dict(grid.to_json_dict())
-        assert np.array_equal(loaded.occupancy, grid.occupancy)
-        assert loaded.resolution == grid.resolution
-        assert np.allclose(loaded.origin, grid.origin)
-
     def test_ascii_roundtrip(self, tmp_path):
         text = "..#..\n.###.\n..#..\n.....\n"
         grid = OccupancyGrid.from_ascii(text, resolution=0.5)
@@ -119,7 +130,7 @@ class TestOccupancyGrid:
         assert occupied == {(2, 3), (1, 2), (2, 2), (3, 2), (2, 1)}
         path = tmp_path / "map.txt"
         path.write_text(text)
-        loaded = load_grid(path, resolution=0.5)
+        loaded = OccupancyGrid.from_ascii(path.read_text(), resolution=0.5)
         assert np.array_equal(loaded.occupancy, grid.occupancy)
 
     def test_ascii_orientation(self):
@@ -187,14 +198,14 @@ class TestSampling:
         field = build_esdf(grid, 2.0)
         for _ in range(20):
             cell = tuple(rng.integers(0, n) for n in grid.dims)
-            p = grid.center_of(cell)
+            p = center(grid, cell)
             assert field.distance_at(p) == pytest.approx(
                 field.distance[cell], abs=1e-12)
 
     def test_midpoint_linear(self):
         grid = OccupancyGrid.empty(1.0, (2, 1, 1))
         field = ESDFField(grid, np.array([[[1.0]], [[2.0]]]), 5.0)
-        mid = 0.5 * (grid.center_of((0, 0, 0)) + grid.center_of((1, 0, 0)))
+        mid = 0.5 * (center(grid, (0, 0, 0)) + center(grid, (1, 0, 0)))
         assert field.distance_at(mid) == pytest.approx(1.5, abs=1e-12)
 
     def test_matches_trilinear_oracle(self):
@@ -202,7 +213,7 @@ class TestSampling:
         for _ in range(10):
             grid = random_grid(rng, max_dim=8)
             field = build_esdf(grid, 2.0)
-            lo, hi = grid.world_min(), grid.world_max()
+            lo, hi = world_box(grid)
             for _ in range(20):
                 p = rng.uniform(lo - 0.3, hi + 0.3)
                 assert field.distance_at(p) == pytest.approx(
@@ -212,7 +223,7 @@ class TestSampling:
         rng = np.random.default_rng(5)
         grid = random_grid(rng)
         field = build_esdf(grid, 2.0)
-        lo, hi = grid.world_min(), grid.world_max()
+        lo, hi = world_box(grid)
         lipschitz = 1.0   # ESDF is 1-Lipschitz; interpolation preserves it
         for _ in range(200):
             p = rng.uniform(lo, hi)
@@ -237,7 +248,7 @@ class TestGradient:
         grid = OccupancyGrid.empty(0.1, (6, 6, 6))
         field = build_esdf(grid, 5.0)
         rng = np.random.default_rng(1)
-        p = rng.uniform(grid.world_min(), grid.world_max())
+        p = rng.uniform(*world_box(grid))
         assert np.allclose(field.distance_and_gradient(p)[1], 0.0)
 
     def test_linear_field(self):
@@ -273,5 +284,5 @@ class TestGradient:
             grid.occupancy[3, 3, 0] = True
         field = build_esdf(grid, 2.0)
         for _ in range(20):
-            p = rng.uniform(grid.world_min(), grid.world_max())
+            p = rng.uniform(*world_box(grid))
             assert field.distance_and_gradient(p)[1][0, 2] == 0.0

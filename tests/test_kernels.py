@@ -387,7 +387,7 @@ def test_sight_certificate_is_sound(kind, planar, data):
             a, b = data.draw(segments(grid, "random", planar))
             shift = np.zeros(3)
             shift[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(
-                [-1.0, 1.0])) * (grid.world_max() - grid.world_min()).max()
+                [-1.0, 1.0])) * grid.resolution * max(grid.dims)
             a = a + shift
             b = b + shift * data.draw(st.sampled_from([0.5, 1.0]))
         else:

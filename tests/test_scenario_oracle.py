@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
 from visiplan.env import (GridError, OccupancyGrid, build_esdf, finite_array,
-                          is_number, load_grid)
+                          is_number)
 from visiplan.optimizer import OptimizerConfig
 from visiplan.search import SearchConfig
 from visiplan.sim import (Scenario, ScenarioError, WaypointScript,
@@ -201,7 +201,9 @@ def _reference_load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> Occupa
             if "resolution" in m else None
         origin = _vector(m, "origin", "map", [0.0, 0.0, 0.0])
         try:
-            return load_grid(p, resolution=resolution, origin=origin)
+            return OccupancyGrid.from_ascii(Path(p).read_text(),
+                                            resolution=resolution,
+                                            origin=origin)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
     if "generator" in m:

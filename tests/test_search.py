@@ -41,7 +41,7 @@ class TestRaycast:
     def test_through_occupied_center(self):
         grid = OccupancyGrid.empty(0.5, (10, 10, 1))
         grid.occupancy[4, 4, 0] = True
-        center = grid.center_of((4, 4, 0))
+        center = grid.origin + (np.array([4, 4, 0]) + 0.5) * grid.resolution
         a = center - [1.3, 0.9, 0.0]
         b = center + [1.3, 0.9, 0.0]
         assert raycast_occluded(grid, a, b)
@@ -49,7 +49,7 @@ class TestRaycast:
     def test_point_in_occupied_cell(self):
         grid = OccupancyGrid.empty(0.5, (10, 10, 1))
         grid.occupancy[4, 4, 0] = True
-        c = grid.center_of((4, 4, 0))
+        c = grid.origin + (np.array([4, 4, 0]) + 0.5) * grid.resolution
         assert raycast_occluded(grid, c, c)
 
     def test_misses_beside_obstacle(self):
@@ -61,7 +61,8 @@ class TestRaycast:
         rng = np.random.default_rng(0)
         grid = OccupancyGrid.empty(0.2, (25, 25, 4))
         grid.occupancy[:] = rng.random((25, 25, 4)) < 0.08
-        lo, hi = grid.world_min(), grid.world_max()
+        lo = grid.origin
+        hi = grid.origin + np.multiply(grid.dims, grid.resolution)
         mism_soft = 0
         for _ in range(1000):
             a = rng.uniform(lo - 0.5, hi + 0.5)
@@ -131,7 +132,8 @@ class TestSearch:
         grid = OccupancyGrid.empty(0.25, (20, 20, 1))
         grid.occupancy[8, 8, 0] = True
         esdf = build_esdf(grid, 5.0)
-        start = RobotState.at_rest(grid.center_of((8, 8, 0)), 0.0)
+        start = RobotState.at_rest(
+            grid.origin + (np.array([8, 8, 0]) + 0.5) * grid.resolution, 0.0)
         with pytest.raises(InvalidStart):
             search(start, lambda t: np.array([4.0, 4.0, 0.125]), grid, esdf,
                    LIMITS, SearchConfig(), horizon=2.0, standoff=2.0)

@@ -52,9 +52,25 @@ class TestWaypointScript:
         assert np.allclose(s.at(0.5), [0, 0, 0])        # holding
         assert np.allclose(s.at(1.75), [1.5, 0, 0])
 
-    def test_rejects_bad_times(self):
-        with pytest.raises(ScenarioError):
-            WaypointScript([0.0, 0.0], [[0, 0, 0], [1, 0, 0]])
+    @settings(max_examples=200)
+    @given(start=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+           steps=st.lists(st.one_of(
+               st.just([0.0, 0.0, 0.0]),                # a repeated point
+               st.sampled_from([[5e-16, 0.0, 0.0], [0.0, -5e-16, 0.0]]),
+               st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)),
+               max_size=8),
+           speed=st.floats(1e-300, 1e300),
+           start_hold=st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    def test_from_path_times_increase(self, start, steps, speed, start_hold):
+        """Whatever the path, every kept point gets one time, and the times
+        increase strictly: the script needs no check of its own."""
+        pts = [np.array(start)]
+        for step in steps:
+            pts.append(pts[-1] + step)
+        script = WaypointScript.from_path(pts, speed, start_hold)
+        assert script.times.shape == (script.points.shape[0],)
+        assert script.times[0] == 0.0
+        assert (np.diff(script.times) > 0).all()
 
     @pytest.mark.parametrize("tail", [[4.0, 6.0, 0.0], [4 + 5e-16, 6.0, 0.0]])
     def test_path_skips_a_leg_too_short_to_advance_time(self, tail):
@@ -75,9 +91,9 @@ class TestRandomTarget:
         rng1 = np.random.default_rng(11)
         rng2 = np.random.default_rng(11)
         s1 = random_target_script(rng1, esdf, [2, 7.5, 0], 1.5, 20.0,
-                                  [[1, 14], [1, 14], [0, 0]])
+                                  [[1, 14], [1, 14], [0, 0]], clearance=0.6)
         s2 = random_target_script(rng2, esdf, [2, 7.5, 0], 1.5, 20.0,
-                                  [[1, 14], [1, 14], [0, 0]])
+                                  [[1, 14], [1, 14], [0, 0]], clearance=0.6)
         assert np.array_equal(s1.points, s2.points)
         for t in np.linspace(0, s1.times[-1], 120):
             assert esdf.distance_at(s1.at(t)) > 0.6
@@ -133,8 +149,8 @@ class TestInFov:
     def test_occluded_not_in_fov(self):
         grid = OccupancyGrid.empty(0.5, (20, 20, 1))
         grid.occupancy[6, 10, 0] = True
-        a = grid.center_of((2, 10, 0))
-        b = grid.center_of((10, 10, 0))
+        a, b = grid.origin + (np.array([[2, 10, 0], [10, 10, 0]]) + 0.5) \
+            * grid.resolution
         assert raycast_occluded(grid, a, b)
         assert not in_fov(a, 0.0, b, 0.7, 0.55, grid)
 
@@ -377,7 +393,9 @@ class TestRun:
         grid.occupancy[40, 20:41, 0] = True
         grid.occupancy[40, 30, 0] = False        # see-through window
         raw = {
-            "map": grid.to_json_dict(),
+            "map": {"resolution": grid.resolution,
+                    "origin": grid.origin.tolist(), "dims": list(grid.dims),
+                    "occupied": grid.occupied_cells().tolist()},
             "robot_start": {"p": [3.05, 3.05, 0.05], "yaw": 0.0},
             "target": {"path": [[7.55, 3.05, 0.05], [7.9, 3.05, 0.05]],
                        "speed": 0.2},
