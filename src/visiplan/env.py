@@ -116,12 +116,10 @@ class OccupancyGrid:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OccupancyGrid":
-        for key in ("resolution", "origin", "dims", "occupied"):
-            if key not in d:
-                raise GridError(f"grid JSON missing field '{key}'", key)
+        """The grid at the origin that a grid JSON object describes."""
         dims = tuple(int(n) for n in finite_array(
             d["dims"], (3,), "dims", "3 integers >= 1", integral=True))
-        grid = cls.empty(d["resolution"], dims, d["origin"])
+        grid = cls.empty(d["resolution"], dims)
         cells = finite_array(d["occupied"], (None, 3), "occupied",
                              "a list of [i, j, k] integer cells",
                              integral=True, empty=True)
@@ -135,8 +133,9 @@ class OccupancyGrid:
         return grid
 
     @classmethod
-    def from_ascii(cls, text: str, resolution: float,
-                   origin=(0.0, 0.0, 0.0)) -> "OccupancyGrid":
+    def from_ascii(cls, text: str, resolution: float) -> "OccupancyGrid":
+        """The grid at the origin of an ASCII '#'/'.' raster (top line
+        highest in y)."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GridError("empty ASCII raster")
@@ -144,7 +143,7 @@ class OccupancyGrid:
         if any(len(ln) != nx for ln in lines):
             raise GridError("ASCII raster rows have unequal length")
         ny = len(lines)
-        grid = cls.empty(resolution, (nx, ny, 1), origin)
+        grid = cls.empty(resolution, (nx, ny, 1))
         for row, ln in enumerate(lines):
             j = ny - 1 - row
             for i, ch in enumerate(ln):

@@ -81,6 +81,13 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
     bx, by, bz = ((float(b[0]) - ox) / res, (float(b[1]) - oy) / res,
                   (float(b[2]) - oz) / res)
     nx, ny, nz = grid.dims
+    # the traversal stays in the box of its end cells grown by one cell, and
+    # cells outside the grid are free: a segment whose box misses the grid
+    # grown by two cells (one to spare) crosses no occupied cell
+    if (max(ax, bx) < -2.0 or min(ax, bx) > nx + 2.0
+            or max(ay, by) < -2.0 or min(ay, by) > ny + 2.0
+            or max(az, bz) < -2.0 or min(az, bz) > nz + 2.0):
+        return False
     occ = memoryview(grid.occupancy.reshape(-1))
     i, j, k = math.floor(ax), math.floor(ay), math.floor(az)
 

@@ -146,10 +146,11 @@ def random_target_script(rng: Rng, esdf: ESDFField,
 
 
 _FOREST_MAX_TRIES = 500         # placements tried per obstacle
+FOREST_RESOLUTION = 0.1         # cell side of a scenario's forest (m)
 
 
 def generate_random_forest(seed: int, area, count: int, radius_range,
-                           resolution: float = 0.1, keep_clear=(),
+                           resolution=FOREST_RESOLUTION, keep_clear=(),
                            clearance: float = 1.0) -> OccupancyGrid:
     """Cylindrical obstacles dropped uniformly over a planar map.
 
@@ -207,19 +208,17 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
 class Scenario:
     """A loaded tracking scenario, built by `scenario_from_dict` from the
     scenario table, which owns the defaults and bounds of what a scenario
-    file sets: the mission's world, target, vehicle, sensor and prediction
-    model. The planner's fixed settings are class attributes, not fields,
-    so no scenario can set them. `esdf` is the truncated ESDF of `grid` at
-    `d_trunc`, built once at load and used by the planner; it belongs to
-    that grid, so the grid must not change after loading."""
+    file sets: the mission's world, target, vehicle limits and prediction
+    model. The camera's and the planner's fixed settings are class
+    attributes, not fields, so no scenario can set them. `esdf` is the
+    truncated ESDF of `grid` at `d_trunc`, built once at load and used by
+    the planner; it belongs to that grid, so the grid must not change."""
 
     name: str
     grid: OccupancyGrid
     esdf: ESDFField
     start: RobotState
     target: WaypointScript
-    fov_h_half: float
-    fov_v_half: float
     duration: float
     search_horizon: float
     seed: int
@@ -230,7 +229,9 @@ class Scenario:
     predict_v_max: float
     mode: str
 
-    # the planner's fixed settings, the same for every scenario
+    # the camera's and the planner's settings, the same for every scenario
+    fov_h_half = math.radians(80.0 / 2.0)   # half the full cone angles
+    fov_v_half = math.radians(65.0 / 2.0)
     replan_period = 0.1
     horizon = 3.0                       # spline horizon (s)
     num_control_points = 33
@@ -292,9 +293,9 @@ def _checked(section: str, build, *args, **kwargs):
         raise ScenarioError(f"scenario field '{name}': {e}") from e
 
 
-def _number(kind=float, above=None, least=None, below=None):
+def _number(kind=float, above=None, least=None):
     """Kind: a finite number (integral for int) as a `kind`, greater than
-    `above`, at least `least` and less than `below` where these are given."""
+    `above` and at least `least` where these are given."""
     def parse(value, name):
         if not is_number(value, kind):
             raise _bad(name, "an integer" if kind is int
@@ -305,8 +306,6 @@ def _number(kind=float, above=None, least=None, below=None):
                        else f"greater than {above}", value)
         if least is not None and not number >= least:
             raise _bad(name, f"at least {least}", value)
-        if below is not None and not number < below:
-            raise _bad(name, f"less than {below}", value)
         return number
     return parse
 
@@ -392,21 +391,18 @@ _SEED = _number(int, least=0)
 _POSITIVE = _number(above=0)
 _NONNEGATIVE = _number(least=0)
 _POINT = _array((3,), "a list of 3 numbers")
-_CONE_DEG = _number(above=0, below=180)     # a full FOV angle in degrees
 
 # the kinds of map and of target, each told by its first key; a map file
 # is an ASCII raster, and the grid code checks an inline grid
-_GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE),
-              _Row("origin", _POINT, (0.0, 0.0, 0.0)))
+_GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE))
 _FOREST = (_Row("generator", _section(
     _Row("area", _array((2,), "a list of 2 positive numbers")),
     _Row("count", _number(int, least=0)),
     _Row("radius_range", _array((2,), "a list [low, high] with "
                                 "0 < low <= high")),
-    _Row("resolution", _POSITIVE, 0.1),
     _Row("clearance", _NONNEGATIVE, 1.0))),)
 _INLINE_GRID = tuple(_Row(key, _as_given)
-                     for key in ("dims", "resolution", "origin", "occupied"))
+                     for key in ("dims", "resolution", "occupied"))
 _PATH = (_Row("path", _array((None, 3), "a nonempty list of [x, y, z] "
                              "points")),
          _Row("speed", _POSITIVE, 1.0),
@@ -426,13 +422,10 @@ _SCENARIO = (
     _Row("target", _one_of(_PATH, _RANDOM_WALK)),
     _Row("duration", _POSITIVE),
     _Row("search_horizon", _POSITIVE, Scenario.horizon),
-    _Row("fov_h_deg", _CONE_DEG, 80.0),
-    _Row("fov_v_deg", _CONE_DEG, 65.0),
     _Row("predict", _section(_Row("degree", _number(int, least=0), 3),
                              _Row("window", _NONNEGATIVE, 2.0),
                              _Row("v_max", _NONNEGATIVE, 2.5)), {}),
-    _Row("limits", _config(DynamicLimits, "v_m", "a_m", "v_phi_m",
-                           "a_phi_m", "d_thr", "psi_thr"), {}),
+    _Row("limits", _config(DynamicLimits, "v_m", "a_m"), {}),
     _Row("search", _config(SearchConfig, "max_expansions"), {}),
 )
 
@@ -479,8 +472,6 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         esdf=esdf,
         start=start,
         target=_load_target(*s.target, esdf, s.seed, s.duration),
-        fov_h_half=math.radians(s.fov_h_deg / 2.0),
-        fov_v_half=math.radians(s.fov_v_deg / 2.0),
         duration=s.duration,
         search_horizon=s.search_horizon,
         seed=s.seed,
@@ -498,7 +489,7 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
     if kind is _GRID_FILE:
         try:
             return OccupancyGrid.from_ascii((base_dir / m.file).read_text(),
-                                            m.resolution, m.origin)
+                                            m.resolution)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
     if kind is _INLINE_GRID:
@@ -506,23 +497,23 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
     g = m.generator
     # cells per side as the generator rounds them, capped so that a side
     # past the budget stays finite and still breaks it
-    nx, ny = (round(min(float(a) / g.resolution, MAX_CELLS + 1))
+    nx, ny = (round(min(float(a) / FOREST_RESOLUTION, MAX_CELLS + 1))
               for a in g.area)
     if min(nx, ny) < 1:
         raise ScenarioError("scenario field 'map.generator.area' must span "
                             "at least one cell at the generator's resolution "
-                            f"{g.resolution!r}, got {g.area.tolist()!r}")
+                            f"{FOREST_RESOLUTION!r}, got {g.area.tolist()!r}")
     if nx * ny > MAX_CELLS:
         raise ScenarioError("scenario field 'map.generator.area' must span "
                             f"at most {MAX_CELLS} cells at the generator's "
-                            f"resolution {g.resolution!r}, got "
+                            f"resolution {FOREST_RESOLUTION!r}, got "
                             f"{g.area.tolist()!r}")
     if not 0.0 < g.radius_range[0] <= g.radius_range[1]:
         raise _bad("map.generator.radius_range",
                    "a list [low, high] with 0 < low <= high",
                    g.radius_range.tolist())
     return generate_random_forest(seed, g.area, g.count, g.radius_range,
-                                  g.resolution, keep_clear, g.clearance)
+                                  FOREST_RESOLUTION, keep_clear, g.clearance)
 
 
 def _target_start(kind, t: SimpleNamespace) -> np.ndarray:

@@ -79,8 +79,7 @@ class TestRunCommand:
     def test_malformed_scenario_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration": 1.0, "map": {
-            "dims": [4, 4, 1], "resolution": 0.5, "origin": [0, 0, 0],
-            "occupied": []}}))
+            "dims": [4, 4, 1], "resolution": 0.5, "occupied": []}}))
         code = main(["run", "--scenario", str(bad),
                      "--out", str(tmp_path / "o")])
         assert code == 2
@@ -189,12 +188,6 @@ class TestRunCommand:
         ("case1", "map.resolution", "x", "map.resolution"),
         _row("forest", "map.generator.area", [-20, 20],
              "map.generator.area", "value15"),
-        _row("mini", "map.origin", [0, 0], "map.origin", "value16"),
-        _row("case1", "map.origin", [0, 0], "map.origin", "value17"),
-        _row("mini", "map.origin", [0, float("nan"), 0], "map.origin",
-             "value18"),
-        _row("case1", "map.origin", [0, float("nan"), 0], "map.origin",
-             "value19"),
         # unknown keys in the sections only a forest scenario has
         ("forest", "map.generator.bogus", 1.0, "map.generator.bogus"),
         ("forest", "target.random.start_hold", 1.0,
@@ -212,8 +205,6 @@ class TestRunCommand:
          "map.generator.clearance"),
         # values that crashed or ran, or a message that named no field
         ("mini", "seed", -1, "seed"),
-        ("mini", "fov_h_deg", 200, "fov_h_deg"),
-        ("mini", "fov_v_deg", 0, "fov_v_deg"),
         ("forest", "map.generator.kind", "rocks", "map.generator.kind"),
         ("mini", "predict.degree", -1, "predict.degree"),
         ("mini", "predict.window", -1.0, "predict.window"),
@@ -259,18 +250,40 @@ class TestRunCommand:
         # square every limit
         ("mini", "limits.v_m", 1e200, "limits.v_m"),
         ("mini", "limits.a_m", 1e200, "limits.a_m"),
-        ("mini", "limits.v_phi_m", 1e200, "limits.v_phi_m"),
-        ("mini", "limits.a_phi_m", 1e200, "limits.a_phi_m"),
-        ("mini", "limits.d_thr", 1e200, "limits.d_thr"),
-        ("mini", "limits.psi_thr", 1e200, "limits.psi_thr"),
         # the search sums a_m squared over up to three axes
         ("mini", "limits.a_m", 1.3e154, "limits.a_m"),
         # grids past the cell budget, refused before they are built; the
         # last one once crashed numpy with a side of 1e301 cells
         _row("mini", "map.dims", [5000, 5000, 1], "map.dims", "budget"),
-        ("forest", "map.generator.resolution", 1e-3, "map.generator.area"),
         _row("forest", "map.generator.area", [1e300, 20],
              "map.generator.area", "huge"),
+        # the values every mission flies at one setting are constants, so
+        # their keys are unknown fields at that setting or any other, even
+        # a generator resolution fine enough to break the cell budget
+        _row("mini", "fov_h_deg", 80.0, "fov_h_deg", "removed"),
+        _row("mini", "fov_v_deg", 65.0, "fov_v_deg", "removed"),
+        _row("mini", "limits.v_phi_m", 3.0, "limits.v_phi_m", "removed"),
+        _row("mini", "limits.a_phi_m", 6.0, "limits.a_phi_m", "removed"),
+        _row("mini", "limits.d_thr", 0.4, "limits.d_thr", "removed"),
+        _row("mini", "limits.psi_thr", 0.6, "limits.psi_thr", "removed"),
+        _row("case1", "map.origin", [0, 0, 0], "map.origin", "removed"),
+        _row("mini", "map.origin", [0, 0, 0], "map.origin", "removed"),
+        _row("forest", "map.generator.resolution", 0.1,
+             "map.generator.resolution", "removed"),
+        ("mini", "fov_h_deg", 200, "fov_h_deg"),
+        ("mini", "fov_v_deg", 0, "fov_v_deg"),
+        ("mini", "limits.v_phi_m", 1e200, "limits.v_phi_m"),
+        ("mini", "limits.a_phi_m", 1e200, "limits.a_phi_m"),
+        ("mini", "limits.d_thr", 1e200, "limits.d_thr"),
+        ("mini", "limits.psi_thr", 1e200, "limits.psi_thr"),
+        _row("mini", "map.origin", [0, 0], "map.origin", "value16"),
+        _row("case1", "map.origin", [0, 0], "map.origin", "value17"),
+        _row("mini", "map.origin", [0, float("nan"), 0], "map.origin",
+             "value18"),
+        _row("case1", "map.origin", [0, float("nan"), 0], "map.origin",
+             "value19"),
+        ("forest", "map.generator.resolution", 1e-3,
+         "map.generator.resolution"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, capsys,
                                                scenario, path, value, named):
@@ -312,6 +325,25 @@ class TestRunCommand:
             warnings.simplefilter("error")
             assert main(["run", "--scenario", str(path),
                          "--out", str(tmp_path / "o")]) == 0
+
+    def test_start_a_billion_cells_off_the_map_flies(self, tmp_path):
+        """At a 1e-9 m resolution mini's start and target lie about 1e9
+        cells off its grid. A ray that misses the grid is clear without a
+        walk over those cells, so the mission completes; it runs in a
+        child process, so that a hang fails on the timeout."""
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["duration"] = 0.3
+        raw["map"]["resolution"] = 1e-9
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "visiplan.cli", "run", "--scenario",
+             str(path), "--out", str(out)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] == "completed"
 
     def test_map_file_past_the_cell_budget_names_it(self, tmp_path, capsys):
         raw = json.loads(bundled_scenario("case1").read_text())

@@ -109,13 +109,16 @@ class TestOccupancyGrid:
 
     @pytest.mark.parametrize("key, value", [
         ("resolution", "x"), ("dims", [4, 4]), ("dims", ["a", 4, 1]),
-        ("origin", [0, 0]), ("occupied", [["a", 1, 0]]),
-        ("occupied", [[1, 0]]), ("occupied", [[1, 0, 0.5]]),
-        ("occupied", [[4, 0, 0]]), ("occupied", [[-1, 0, 0]]),
+        # explicit ids keep the names these rows had when a grid JSON held
+        # an origin row before them
+        pytest.param("occupied", [["a", 1, 0]], id="occupied-value4"),
+        pytest.param("occupied", [[1, 0]], id="occupied-value5"),
+        pytest.param("occupied", [[1, 0, 0.5]], id="occupied-value6"),
+        pytest.param("occupied", [[4, 0, 0]], id="occupied-value7"),
+        pytest.param("occupied", [[-1, 0, 0]], id="occupied-value8"),
     ])
     def test_malformed_json_names_field(self, key, value):
-        d = {"resolution": 0.5, "origin": [0, 0, 0], "dims": [4, 4, 1],
-             "occupied": [[1, 1, 0]]}
+        d = {"resolution": 0.5, "dims": [4, 4, 1], "occupied": [[1, 1, 0]]}
         d[key] = value
         with pytest.raises(GridError) as info:
             OccupancyGrid.from_json_dict(d)

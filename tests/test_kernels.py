@@ -300,6 +300,14 @@ def segments(draw, grid: OccupancyGrid, kind: str, planar: bool):
     elif kind == "degenerate":
         a = anywhere() if draw(st.booleans()) else lattice()
         b = a.copy()
+    elif kind == "off_grid":
+        # both ends past one face of the grid, some within the two cells
+        # the raycast's box test spares and some beyond them
+        a, b = anywhere(), anywhere()
+        ax = draw(st.integers(0, 1 if planar else 2))
+        band = cell_floats(-6.0, -1.0) if draw(st.booleans()) \
+            else cell_floats(n[ax] + 1.0, n[ax] + 6.0)
+        a[ax], b[ax] = draw(band), draw(band)
     elif kind == "crossing_border":
         a, b = inside(), inside()
         ax = draw(st.integers(0, 2))
@@ -322,7 +330,7 @@ def segments(draw, grid: OccupancyGrid, kind: str, planar: bool):
 
 
 SEGMENT_KINDS = ["random", "grid_aligned", "axis_parallel", "degenerate",
-                 "crossing_border", "near_border"]
+                 "crossing_border", "near_border", "off_grid"]
 
 
 # ---------------------------------------------------------------------------

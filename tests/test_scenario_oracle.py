@@ -1,12 +1,13 @@
 """Oracle tests: the scenario loader against the one it replaced.
 
 `reference_scenario_from_dict` is `scenario_from_dict` as it was before one
-table came to hold the scenario format, kept verbatim (only renamed, and
-without the `pose_noise_sigma` field the `Scenario` no longer has) with its
-helpers. For every bundled scenario, and for valid variations of forest.json
-and mini.json that draw seeds, in-range numbers and absent optional keys,
-the loader must build an equal `Scenario`: the same grid, ESDF and target
-bytes and the same scalars, start and configs.
+table came to hold the scenario format, kept verbatim (only renamed, without
+the `pose_noise_sigma` and field-of-view fields the `Scenario` no longer
+has, and with every map at the origin) with its helpers. For every
+bundled scenario, and for valid variations of forest.json and mini.json
+that draw seeds, in-range numbers and absent optional keys of today's
+format, the loader must build an equal `Scenario`: the same grid, ESDF and
+target bytes and the same scalars, start and configs.
 """
 
 from __future__ import annotations
@@ -169,16 +170,14 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
     # pinned by the start state
     _number(raw, "num_control_points", "scenario", 33, int, above=3)
     _number(pr, "ridge", "predict", 1e-4)
+    _number(raw, "fov_h_deg", "scenario", 80.0)
+    _number(raw, "fov_v_deg", "scenario", 65.0)
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         grid=grid,
         esdf=esdf,
         start=start,
         target=_reference_load_target(tgt, esdf, eff_seed, duration),
-        fov_h_half=math.radians(
-            _number(raw, "fov_h_deg", "scenario", 80.0) / 2.0),
-        fov_v_half=math.radians(
-            _number(raw, "fov_v_deg", "scenario", 65.0) / 2.0),
         duration=duration,
         search_horizon=_number(raw, "search_horizon", "scenario", horizon,
                                above=0),
@@ -199,11 +198,10 @@ def _reference_load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> Occupa
         p = base_dir / m["file"]
         resolution = _number(m, "resolution", "map", above=0) \
             if "resolution" in m else None
-        origin = _vector(m, "origin", "map", [0.0, 0.0, 0.0])
+        _vector(m, "origin", "map", [0.0, 0.0, 0.0])
         try:
             return OccupancyGrid.from_ascii(Path(p).read_text(),
-                                            resolution=resolution,
-                                            origin=origin)
+                                            resolution=resolution)
         except (OSError, GridError) as e:
             raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
     if "generator" in m:
@@ -391,12 +389,10 @@ COMMON = [
     ("robot_start.yaw", number(-4.0, 4.0), True),
     ("duration", number(0.5, 40.0), False),
     ("search_horizon", number(0.5, 3.0), True),
-    ("fov_h_deg", number(1.0, 179.0), True),
-    ("fov_v_deg", number(1.0, 179.0), True),
     ("predict.degree", st.integers(0, 4), True),
     ("predict.window", number(0.0, 3.0), True),
     ("predict.v_max", number(0.0, 3.0), True),
-    ("limits", st.just({"v_m": 2.0, "d_thr": 0.3}), True),
+    ("limits", st.just({"v_m": 2.0, "a_m": 3.0}), True),
     ("search", st.just({"max_expansions": 500}), True),
 ]
 
@@ -408,7 +404,6 @@ FOREST = COMMON + [
     ("map.generator.radius_range", st.tuples(
         number(0.1, 0.5), number(0.0, 0.4)).map(
             lambda r: [r[0], r[0] + r[1]]), False),
-    ("map.generator.resolution", st.sampled_from([0.1, 0.2, 0.25]), True),
     ("map.generator.clearance", number(0.0, 1.5), True),
     ("target.random.start", point(1.5, 18.5), False),
     ("target.random.speed", number(0.3, 3.0), False),
@@ -417,7 +412,6 @@ FOREST = COMMON + [
 
 MINI = COMMON + [
     ("robot_start.p", point(0.5, 11.5), False),
-    ("map.origin", point(-3.0, 3.0), False),
     ("map.occupied", st.lists(st.lists(st.integers(0, 119), min_size=2,
                                        max_size=2).map(lambda ij: ij + [0]),
                               max_size=20), False),

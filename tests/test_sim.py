@@ -159,7 +159,7 @@ class TestScenarioLoading:
     def test_missing_field_named(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"map": {"dims": [4, 4, 1], "resolution": 0.5,
-                                         "origin": [0, 0, 0], "occupied": []},
+                                         "occupied": []},
                                  "duration": 1.0}))
         with pytest.raises(ScenarioError, match="robot_start"):
             load_scenario(p)
@@ -192,14 +192,13 @@ class TestScenarioLoading:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_config_field_bound_is_the_dataclass_bound(self, data):
-        """A config section accepts a value exactly when its dataclass
-        does, and a rejection names the section and the field; a budget
-        too small to reach mini's 3 s search horizon in `TAU` depths is
-        rejected too."""
+        """A config section's settable field accepts a value exactly when
+        its dataclass does, and a rejection names the section and the
+        field; a budget too small to reach mini's 3 s search horizon in
+        `TAU` depths is rejected too."""
         section, cls, key = data.draw(st.sampled_from(
-            [("limits", DynamicLimits, f.name)
-             for f in dataclasses.fields(DynamicLimits)]
-            + [("search", SearchConfig, "max_expansions")]), label="field")
+            [("limits", DynamicLimits, "v_m"), ("limits", DynamicLimits, "a_m"),
+             ("search", SearchConfig, "max_expansions")]), label="field")
         value = data.draw(st.one_of(
             st.just(getattr(cls(), key)), st.sampled_from(
                 [0, 0.0, -1, -0.5, 0.5, 2.5, True, False, math.nan]),
@@ -235,11 +234,12 @@ class TestScenarioLoading:
         mode and the seed; the planner's fixed settings are class constants
         that every scenario reads alike and no caller can set."""
         assert [f.name for f in dataclasses.fields(Scenario)] == [
-            "name", "grid", "esdf", "start", "target", "fov_h_half",
-            "fov_v_half", "duration", "search_horizon", "seed", "limits",
-            "search_config", "predict_degree", "predict_window",
-            "predict_v_max", "mode"]
-        flown = {"replan_period": 0.1, "horizon": 3.0,
+            "name", "grid", "esdf", "start", "target", "duration",
+            "search_horizon", "seed", "limits", "search_config",
+            "predict_degree", "predict_window", "predict_v_max", "mode"]
+        flown = {"fov_h_half": math.radians(40.0),
+                 "fov_v_half": math.radians(32.5),
+                 "replan_period": 0.1, "horizon": 3.0,
                  "num_control_points": 33, "d_trunc": 5.0,
                  "predict_ridge": 1e-4, "params": VisibilityParams(),
                  "weights": CostWeights()}
@@ -298,6 +298,37 @@ class TestScenarioLoading:
             assert changes(smaller), \
                 f"{name}.json restates the default of {'.'.join(dotted)}"
 
+    @pytest.mark.parametrize("mode", ["visibility", "baseline"])
+    @pytest.mark.parametrize("name, full_name, seed, duration, v_m, a_m", [
+        ("case1", "case1_two_corners", 1, 19.0, 2.5, 4.0),
+        ("case2", "case2_zigzag", 2, 17.0, 3.0, 5.0),
+        ("mini", "mini_open", 5, 4.0, 2.5, 4.0),
+        ("forest", "random_forest", 0, 30.0, 3.0, 5.0)])
+    def test_config_echo_is_frozen(self, name, full_name, seed, duration,
+                                   v_m, a_m, mode):
+        """The report's echo of every bundled scenario, in key order,
+        against literal values: the field of view, the limits, the weights
+        and the params are the ones every mission flies."""
+        w_do, w_ao, w_oe, w_v = (20.0, 10.0, 20.0, 2.0) \
+            if mode == "visibility" else (0.0, 0.0, 0.0, 0.0)
+        want = {
+            "name": full_name, "mode": mode, "seed": seed,
+            "duration": duration, "replan_period": 0.1, "horizon": 3.0,
+            "num_control_points": 33,
+            "fov_h_half_rad": 0.6981317007977318,
+            "fov_v_half_rad": 0.5672320068981571,
+            "weights": {"w_do": w_do, "w_ao": w_ao, "w_oe": w_oe,
+                        "w_f": 0.1, "w_f_phi": 0.1, "w_s": 1e-05,
+                        "w_s_phi": 0.0001, "w_c": 100.0, "w_v": w_v},
+            "limits": {"v_m": v_m, "a_m": a_m, "v_phi_m": 3.0,
+                       "a_phi_m": 6.0, "d_thr": 0.4, "psi_thr": 0.6},
+            "params": {"od_min": 2.5, "od_max": 3.5, "rho": 0.8,
+                       "m_balls": 10},
+        }
+        echo = load_scenario(bundled_scenario(name), mode=mode).config_echo()
+        assert echo == want
+        assert dumps_canonical(echo) == dumps_canonical(want)
+
 
 class TestRun:
     def test_mini_tracks(self, mini_vis):
@@ -310,8 +341,8 @@ class TestRun:
         # open space, target sitting 3 m dead ahead: nothing is ever lost
         # and the pointing error settles out
         raw = {
-            "map": {"resolution": 0.1, "origin": [0, 0, 0],
-                    "dims": [100, 100, 1], "occupied": []},
+            "map": {"resolution": 0.1, "dims": [100, 100, 1],
+                    "occupied": []},
             "robot_start": {"p": [2.0, 5.0, 0.0], "yaw": 0.0},
             "target": {"path": [[5.0, 5.0, 0.0]], "speed": 1.0},
             "duration": 5.0,
@@ -393,8 +424,7 @@ class TestRun:
         grid.occupancy[40, 20:41, 0] = True
         grid.occupancy[40, 30, 0] = False        # see-through window
         raw = {
-            "map": {"resolution": grid.resolution,
-                    "origin": grid.origin.tolist(), "dims": list(grid.dims),
+            "map": {"resolution": grid.resolution, "dims": list(grid.dims),
                     "occupied": grid.occupied_cells().tolist()},
             "robot_start": {"p": [3.05, 3.05, 0.05], "yaw": 0.0},
             "target": {"path": [[7.55, 3.05, 0.05], [7.9, 3.05, 0.05]],
