@@ -146,11 +146,11 @@ def random_target_script(rng: Rng, esdf: ESDFField,
 
 
 _FOREST_MAX_TRIES = 500         # placements tried per obstacle
-FOREST_RESOLUTION = 0.1         # cell side of a scenario's forest (m)
+FOREST_RESOLUTION = 0.1         # cell side of every generated forest (m)
 
 
 def generate_random_forest(seed: int, area, count: int, radius_range,
-                           resolution=FOREST_RESOLUTION, keep_clear=(),
+                           keep_clear=(),
                            clearance: float = 1.0) -> OccupancyGrid:
     """Cylindrical obstacles dropped uniformly over a planar map.
 
@@ -158,6 +158,7 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     its surface and each keep_clear point.
     """
     rng = Rng(seed)
+    resolution = FOREST_RESOLUTION
     w, h = float(area[0]), float(area[1])
     nx, ny = int(round(w / resolution)), int(round(h / resolution))
     grid = OccupancyGrid.empty(resolution, (nx, ny, 1))
@@ -513,7 +514,7 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
                    "a list [low, high] with 0 < low <= high",
                    g.radius_range.tolist())
     return generate_random_forest(seed, g.area, g.count, g.radius_range,
-                                  FOREST_RESOLUTION, keep_clear, g.clearance)
+                                  keep_clear, g.clearance)
 
 
 def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
@@ -605,37 +606,11 @@ class RunReport:
         }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise ValueError("non-finite value in report")
-        return f"{float(x):.17g}"
-    raise TypeError(f"unsupported scalar {type(x)}")
-
-
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  "{k}": {dumps_canonical(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [dumps_canonical(v, indent + 1) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    return _fmt(obj)
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON, keys in insertion order; each float in its
+    shortest form that reads back to the same bits (integral floats keep
+    `.0`). A NaN or an infinity raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _floats(values) -> str:

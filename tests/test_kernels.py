@@ -30,9 +30,9 @@ from visiplan.env import ESDFField, OccupancyGrid, build_esdf, is_number
 from visiplan.optimizer import solve_triangular, whitening_factors
 from visiplan.search import (_buried_certificate, _clearance_certificate,
                              _sight_certificate, raycast_occluded)
-from visiplan.sim import (ScenarioError, WaypointScript, bundled_scenario,
-                          generate_random_forest, load_scenario,
-                          random_target_script)
+from visiplan.sim import (FOREST_RESOLUTION, ScenarioError, WaypointScript,
+                          bundled_scenario, generate_random_forest,
+                          load_scenario, random_target_script)
 from visiplan.spline import TrajectoryBSpline
 
 
@@ -638,25 +638,25 @@ def result_or_error(make, *args):
        # every border
        radii=st.tuples(cell_floats(0.01, 3.0), cell_floats(0.0, 6.0)).map(
            lambda lr: (lr[0], lr[0] + lr[1])),
-       resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
        keep_clear=st.lists(st.tuples(cell_floats(-1.0, 9.0),
                                      cell_floats(-1.0, 9.0),
                                      st.just(0.0)), max_size=3),
        clearance=cell_floats(0.0, 1.5))
-@example(seed=0, area=(2.0, 2.0), count=0, radii=(0.2, 0.4), resolution=0.1,
-         keep_clear=[], clearance=1.0)
-@example(seed=1, area=(2.05, 1.3), count=4, radii=(1.5, 3.0),
-         resolution=0.1, keep_clear=[], clearance=0.0)
+@example(seed=0, area=(2.0, 2.0), count=0, radii=(0.2, 0.4), keep_clear=[],
+         clearance=1.0)
+@example(seed=1, area=(2.05, 1.3), count=4, radii=(1.5, 3.0), keep_clear=[],
+         clearance=0.0)
 @example(seed=2, area=(3.0, 3.0), count=6, radii=(0.01, 0.12),
-         resolution=0.25, keep_clear=[(1.5, 1.5, 0.0)], clearance=0.3)
+         keep_clear=[(1.5, 1.5, 0.0)], clearance=0.3)
 # every candidate fails: the error after 500 tries
-@example(seed=3, area=(2.0, 2.0), count=3, radii=(0.2, 0.4), resolution=0.1,
+@example(seed=3, area=(2.0, 2.0), count=3, radii=(0.2, 0.4),
          keep_clear=[(1.0, 1.0, 0.0)], clearance=2.0)
-def test_forest_matches_reference(seed, area, count, radii, resolution,
-                                  keep_clear, clearance):
-    args = (seed, area, count, radii, resolution, keep_clear, clearance)
-    got = result_or_error(generate_random_forest, *args)
-    want = result_or_error(reference_forest, *args)
+def test_forest_matches_reference(seed, area, count, radii, keep_clear,
+                                  clearance):
+    got = result_or_error(generate_random_forest, seed, area, count, radii,
+                          keep_clear, clearance)
+    want = result_or_error(reference_forest, seed, area, count, radii,
+                           FOREST_RESOLUTION, keep_clear, clearance)
     if isinstance(want, str):
         assert got == want
     else:

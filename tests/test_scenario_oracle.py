@@ -245,7 +245,6 @@ def _reference_load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> Occupa
             area=area,
             count=_number(g, "count", "map.generator", kind=int, above=-1),
             radius_range=radii,
-            resolution=resolution,
             keep_clear=keep_clear,
             clearance=_number(g, "clearance", "map.generator", 1.0,
                               least=0))

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visiplan import sim
@@ -440,6 +440,20 @@ class TestRun:
         assert report.failure_time == 0.0
 
 
+# finite floats with the edges a writer can lose: the sign of zero, the
+# smallest subnormal, the largest magnitudes and integral values
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 20.0, -3.0, 1e16]),
+    st.integers(-2 ** 53, 2 ** 53).map(float))
+json_keys = st.text(alphabet=st.sampled_from('ab"\\/\n\u00e9'), max_size=4)
+json_values = st.recursive(
+    st.one_of(json_floats, st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
 class TestOutputs:
     def test_write_outputs_files(self, mini_vis, tmp_path):
         paths = write_outputs(mini_vis, tmp_path)
@@ -458,11 +472,15 @@ class TestOutputs:
         assert parsed["failure_time"] == mini_vis.failure_time
         assert parsed["tracked_steps"] == mini_vis.tracked_steps
 
-    def test_canonical_float_17_digits(self):
-        txt = dumps_canonical({"x": 0.1})
-        assert txt == '{\n  "x": 0.1000000000000000056\n}' or "0.1" in txt
-        assert json.loads(txt)["x"] == 0.1
+    @settings(max_examples=200)
+    @given(obj=json_values)
+    @example(obj={'"q\\': [-0.0, 5e-324, 1e308, 20.0, 0.1, 0, "s"]})
+    def test_canonical_reads_back_as_itself(self, obj):
+        # a float's repr names its bits (and the sign of zero), an int's
+        # repr differs from the equal float's, and a dict's keeps key order
+        assert repr(json.loads(dumps_canonical(obj))) == repr(obj)
 
     def test_canonical_rejects_nan(self):
-        with pytest.raises(ValueError):
-            dumps_canonical({"x": float("nan")})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                dumps_canonical({"x": bad})
