@@ -5,7 +5,7 @@ from .costs import (CostReport, CostWeights, DynamicLimits, TargetTrack,
                     cost_feasibility, cost_oe, cost_safe_tracking,
                     cost_smoothness, cost_yaw_feasibility, cost_yaw_smoothness,
                     penalty, penalty_derivative, total_cost)
-from .env import ESDFField, GridError, OccupancyGrid, build_esdf
+from .env import ESDFField, FieldError, OccupancyGrid, build_esdf
 from .optimizer import (NumericError, OptimizeResult, OptimizerConfig,
                         Termination, optimize)
 from .predict import PredictionModel, fit, predict_track

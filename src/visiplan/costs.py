@@ -180,7 +180,6 @@ def cost_ao(traj: TrajectoryBSpline, target: TargetTrack,
     grad_wp = np.zeros_like(p)
     grad_wp[:, 0] = 2.0 * diff / hor * L[:, 1]
     grad_wp[:, 1] = -2.0 * diff / hor * L[:, 0]
-    grad_wp[~ok] = 0.0
     grad_psi_wp = 2.0 * diff
 
     n = traj.num_control_points
@@ -328,13 +327,11 @@ def cost_safe_tracking(traj: TrajectoryBSpline, params: VisibilityParams,
     gv = np.zeros((n - 2, 3))
     gv[:, 0] = coeff * (-v[:, 1] / safe_hor2) + dgate * pen * 2.0 * v[:, 0]
     gv[:, 1] = coeff * (v[:, 0] / safe_hor2) + dgate * pen * 2.0 * v[:, 1]
-    gv[~ok] = 0.0
     grad_q = np.zeros_like(q)
     grad_q[2:] += gv / (2.0 * traj.dt)
     grad_q[:-2] -= gv / (2.0 * traj.dt)
 
-    grad_phi = _scatter_waypoint_grad(np.where(ok, -coeff, 0.0), n)
-    return value, grad_q, grad_phi
+    return value, grad_q, _scatter_waypoint_grad(-coeff, n)
 
 
 # Every objective term, in evaluation order: its key in `CostReport.terms`,

@@ -28,11 +28,6 @@ class FieldError(ValueError):
         self.field = field
 
 
-class GridError(FieldError):
-    """Malformed grid description or file; `field` names the grid field
-    (resolution, origin, dims, occupied) when there is one."""
-
-
 # The most cells a grid may hold. The largest bundled or benchmark map has
 # 200 x 200 = 40,000 cells; this admits a hundred times as many, while a
 # grid of this size, its distance field and its summed-volume table take
@@ -58,8 +53,8 @@ class OccupancyGrid:
     def __post_init__(self):
         res = self.resolution
         if not (is_number(res, float) and res > 0):
-            raise GridError(f"resolution must be a positive number, got "
-                            f"{res!r}", "resolution")
+            raise FieldError(f"resolution must be a positive number, got "
+                             f"{res!r}", "resolution")
         self.resolution = float(res)
         try:
             dims_ok = len(self.dims) == 3 and all(
@@ -67,11 +62,11 @@ class OccupancyGrid:
         except TypeError:
             dims_ok = False
         if not dims_ok:
-            raise GridError(f"dims must be 3 integers >= 1, got "
-                            f"{self.dims!r}", "dims")
+            raise FieldError(f"dims must be 3 integers >= 1, got "
+                             f"{self.dims!r}", "dims")
         if math.prod(map(int, self.dims)) > MAX_CELLS:
-            raise GridError(f"dims must hold at most {MAX_CELLS} cells, got "
-                            f"{self.dims!r}", "dims")
+            raise FieldError(f"dims must hold at most {MAX_CELLS} cells, got "
+                             f"{self.dims!r}", "dims")
         self.origin = finite_array(self.origin, (3,), "origin",
                                    "3 finite numbers")
         self.occupancy = np.zeros(self.dims, dtype=bool)
@@ -127,8 +122,8 @@ class OccupancyGrid:
         outside = ((cells < 0) | (cells >= dims)).any(axis=1)
         if outside.any():
             cell = d["occupied"][int(np.argmax(outside))]
-            raise GridError(f"occupied cell {cell} out of bounds for dims "
-                            f"{dims}", "occupied")
+            raise FieldError(f"occupied cell {cell} out of bounds for dims "
+                             f"{dims}", "occupied")
         grid.occupancy[tuple(cells.T)] = True
         return grid
 
@@ -138,10 +133,10 @@ class OccupancyGrid:
         highest in y)."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
-            raise GridError("empty ASCII raster")
+            raise FieldError("empty ASCII raster")
         nx = len(lines[0])
         if any(len(ln) != nx for ln in lines):
-            raise GridError("ASCII raster rows have unequal length")
+            raise FieldError("ASCII raster rows have unequal length")
         ny = len(lines)
         grid = cls.empty(resolution, (nx, ny, 1))
         for row, ln in enumerate(lines):
@@ -150,7 +145,7 @@ class OccupancyGrid:
                 if ch == "#":
                     grid.occupancy[i, j, 0] = True
                 elif ch != ".":
-                    raise GridError(f"unexpected character {ch!r} in ASCII raster")
+                    raise FieldError(f"unexpected character {ch!r} in ASCII raster")
         return grid
 
 
@@ -158,7 +153,7 @@ def finite_array(value, shape, name: str, what: str, integral: bool = False,
                  empty: bool = False) -> np.ndarray:
     """`value` as a finite float array of `shape` (a None entry takes any
     length of at least 1, or 0 too when `empty`), with integral entries when
-    `integral`; anything else is a GridError naming the field `name`."""
+    `integral`; anything else is a FieldError naming the field `name`."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -170,7 +165,7 @@ def finite_array(value, shape, name: str, what: str, integral: bool = False,
                    for n, want in zip(arr.shape, shape)) \
             or not np.isfinite(arr).all() \
             or integral and (arr != np.round(arr)).any():
-        raise GridError(f"{name} must be {what}, got {value!r}", name)
+        raise FieldError(f"{name} must be {what}, got {value!r}", name)
     return arr
 
 
@@ -221,7 +216,6 @@ class ESDFField:
 
     grid: OccupancyGrid
     distance: np.ndarray = field(repr=False)
-    d_trunc: float
 
     def __post_init__(self):
         self.distance = np.asarray(self.distance, dtype=np.float64)
@@ -316,11 +310,11 @@ def build_esdf(grid: OccupancyGrid, d_trunc: float) -> ESDFField:
     a grid with no obstacles stores d_trunc everywhere.
     """
     if not d_trunc > 0:
-        raise GridError("d_trunc must be positive")
+        raise FieldError("d_trunc must be positive")
     occ = grid.occupancy
     if not occ.any():
         dist = np.full(occ.shape, float(d_trunc))
-        return ESDFField(grid, dist, float(d_trunc))
+        return ESDFField(grid, dist)
     # A separable squared transform (Saito & Toriwaki 1994) in integer
     # cell units over the axes with more than one cell (a single-cell axis
     # adds no offset). A cell nearer than d_trunc has its nearest occupied
@@ -346,7 +340,7 @@ def build_esdf(grid: OccupancyGrid, d_trunc: float) -> ESDFField:
     dist = np.sqrt(sq, dtype=np.float64).reshape(grid.dims)
     dist *= grid.resolution
     np.minimum(dist, d_trunc, out=dist)
-    return ESDFField(grid, dist, float(d_trunc))
+    return ESDFField(grid, dist)
 
 
 def _squared_along_last(occ: np.ndarray, reach: int, dtype) -> np.ndarray:
@@ -371,14 +365,10 @@ def _squared_along_last(occ: np.ndarray, reach: int, dtype) -> np.ndarray:
 
 def _min_plus_squares(f: np.ndarray, axis: int, reach: int) -> None:
     """f[i] = min over |k| < min(n, reach) of f[i + k] + k**2 along `axis`,
-    in place; stops once k**2 alone reaches max(f)."""
+    in place."""
     src = np.moveaxis(f.copy(), axis, 0)
     out, tmp = np.moveaxis(f, axis, 0), np.empty_like(src)
-    top = int(src.max())
     for k in range(1, min(src.shape[0], reach)):
-        kk = k * k
-        if kk >= top:
-            break
-        np.add(src, kk, out=tmp)
+        np.add(src, k * k, out=tmp)
         np.minimum(out[k:], tmp[:-k], out=out[k:])
         np.minimum(out[:-k], tmp[k:], out=out[:-k])

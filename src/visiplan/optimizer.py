@@ -68,7 +68,8 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
              params: VisibilityParams, weights: CostWeights,
              limits: DynamicLimits,
              config: OptimizerConfig | None = None) -> OptimizeResult:
-    """Minimize the weighted total cost; returns the best trajectory found.
+    """Minimize the weighted total cost; returns the last accepted iterate,
+    whose cost is the lowest among the seed and the accepted iterates.
 
     Guarantees: the accepted cost sequence is non-increasing, the first three
     position/yaw control points are returned bit-identical, and the result is
@@ -106,7 +107,6 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
 
     trace = [(0, report.term_values())]
 
-    best_x, best_report = x.copy(), report
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     termination = Termination.MAX_ITER
@@ -156,14 +156,12 @@ def optimize(initial: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
         x, report, grad = x_new, rep_new, grad_new
         iteration += 1
         trace.append((iteration, report.term_values()))
-        if report.total < best_report.total:
-            best_x, best_report = x.copy(), report
         if rel_drop <= cfg.relative_cost_tolerance:
             termination = Termination.CONVERGED
             break
 
-    unpack_into(best_x, traj)
-    return OptimizeResult(traj, best_report, iteration, termination, trace)
+    unpack_into(x, traj)
+    return OptimizeResult(traj, report, iteration, termination, trace)
 
 
 @lru_cache(maxsize=16)

@@ -92,10 +92,6 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
     i, j, k = math.floor(ax), math.floor(ay), math.floor(az)
 
     dx, dy, dz = bx - ax, by - ay, bz - az
-    if math.sqrt(dx * dx + dy * dy + dz * dz) < 1e-12:
-        return (0 <= i < nx and 0 <= j < ny and 0 <= k < nz
-                and bool(occ[(i * ny + j) * nz + k]))
-
     # per axis: cell step, ray parameter of the next cell face, face spacing
     sx, tx, dtx = _dda_axis(i, ax, dx)
     sy, ty, dty = _dda_axis(j, ay, dy)
@@ -213,9 +209,9 @@ def _buried_certificate(grid: OccupancyGrid, b):
     cell, loose = [], []
     for axis, (o, n) in enumerate(zip(grid.origin.tolist(), grid.dims)):
         u = (float(b[axis]) - o) / res
-        c = math.floor(u)
-        if not 0 <= c < n:
+        if not 0 <= u < n:
             return None
+        c = math.floor(u)
         cell.append(c)
         if not 1e-5 <= u - c <= 1.0 - 1e-5:
             loose.append((axis, o, u, c))
@@ -388,7 +384,8 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     closed: set = set()
     expansions = 0
     # all nodes of one depth share one float time, hence one target sample:
-    # t_next -> (layer, follow point, target position, target cell, hit)
+    # t_next -> (layer, follow point, target position, target cell, hit);
+    # no target cell where its cell coordinates are not finite
     depths: dict = {}
 
     while open_heap:
@@ -424,9 +421,10 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         if depth is None:
             c_next = np.asarray(target_at(t_next), dtype=np.float64)
             c_row = c_next.tolist()
+            finite = np.isfinite((c_next - grid.origin) / grid.resolution)
             depth = depths[t_next] = (
                 int(round(t_next / tau)), (c_next + standoff * u0).tolist(),
-                c_row, grid.cell_of(c_row),
+                c_row, grid.cell_of(c_row) if finite.all() else None,
                 _buried_certificate(grid, c_row) if occlusion_check else None)
         layer, (fx, fy, fz), c_row, c_cell, hit = depth
         # a sighted node loses every successor whose ray is surely occluded,
@@ -477,7 +475,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                 continue
             if occlusion_check:
                 occluded = (hit is not None and hit(p)) or (
-                    not sight_clear(p, c_cell)
+                    (c_cell is None or not sight_clear(p, c_cell))
                     and raycast_occluded(grid, p, c_row))
                 if sighted and occluded:
                     continue

@@ -23,8 +23,8 @@ import numpy as np
 
 from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
                     TargetTrack, VisibilityParams)
-from .env import (MAX_CELLS, ESDFField, FieldError, GridError,
-                  OccupancyGrid, build_esdf, finite_array, is_number)
+from .env import (MAX_CELLS, ESDFField, FieldError, OccupancyGrid,
+                  build_esdf, finite_array, is_number)
 from .optimizer import optimize
 from .predict import fit, predict_track
 from .rng import Rng
@@ -317,7 +317,7 @@ def _array(shape, what: str):
     def parse(value, name):
         try:
             return finite_array(value, shape, name, what)
-        except GridError:
+        except FieldError:
             raise _bad(name, what, value) from None
     return parse
 
@@ -491,7 +491,7 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
         try:
             return OccupancyGrid.from_ascii((base_dir / m.file).read_text(),
                                             m.resolution)
-        except (OSError, GridError) as e:
+        except (OSError, FieldError) as e:
             raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
     if kind is _INLINE_GRID:
         return OccupancyGrid.from_json_dict(vars(m))

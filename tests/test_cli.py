@@ -326,14 +326,17 @@ class TestRunCommand:
             assert main(["run", "--scenario", str(path),
                          "--out", str(tmp_path / "o")]) == 0
 
-    def test_start_a_billion_cells_off_the_map_flies(self, tmp_path):
+    @pytest.mark.parametrize("resolution", [1e-9, 5e-324])
+    def test_start_a_billion_cells_off_the_map_flies(self, tmp_path,
+                                                     resolution):
         """At a 1e-9 m resolution mini's start and target lie about 1e9
-        cells off its grid. A ray that misses the grid is clear without a
-        walk over those cells, so the mission completes; it runs in a
-        child process, so that a hang fails on the timeout."""
+        cells off its grid, and at 5e-324 m every cell coordinate is
+        infinite. A ray that misses the grid is clear without a walk over
+        those cells, so the mission completes; it runs in a child process,
+        so that a hang fails on the timeout."""
         raw = json.loads(bundled_scenario("mini").read_text())
         raw["duration"] = 0.3
-        raw["map"]["resolution"] = 1e-9
+        raw["map"]["resolution"] = resolution
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "o"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from visiplan.env import (MAX_CELLS, ESDFField, GridError, OccupancyGrid,
+from visiplan.env import (MAX_CELLS, ESDFField, FieldError, OccupancyGrid,
                           build_esdf)
 
 
@@ -83,9 +83,9 @@ class TestOccupancyGrid:
         assert grid.occupancy.size == MAX_CELLS
 
     def test_invalid_dims(self):
-        with pytest.raises(GridError):
+        with pytest.raises(FieldError):
             OccupancyGrid.empty(0.1, (0, 3, 3))
-        with pytest.raises(GridError):
+        with pytest.raises(FieldError):
             OccupancyGrid.empty(-1.0, (3, 3, 3))
 
     @pytest.mark.parametrize("resolution, dims, origin, named", [
@@ -103,7 +103,7 @@ class TestOccupancyGrid:
     ])
     def test_malformed_grid_names_field(self, resolution, dims, origin,
                                         named):
-        with pytest.raises(GridError, match=named) as info:
+        with pytest.raises(FieldError, match=named) as info:
             OccupancyGrid.empty(resolution, dims, origin)
         assert info.value.field == named
 
@@ -120,7 +120,7 @@ class TestOccupancyGrid:
     def test_malformed_json_names_field(self, key, value):
         d = {"resolution": 0.5, "dims": [4, 4, 1], "occupied": [[1, 1, 0]]}
         d[key] = value
-        with pytest.raises(GridError) as info:
+        with pytest.raises(FieldError) as info:
             OccupancyGrid.from_json_dict(d)
         assert info.value.field == key
 
@@ -142,7 +142,7 @@ class TestOccupancyGrid:
         assert grid.occupancy[0, 1, 0] and not grid.occupancy[0, 0, 0]
 
     def test_ascii_rejects_bad_char(self):
-        with pytest.raises(GridError):
+        with pytest.raises(FieldError):
             OccupancyGrid.from_ascii("..x\n...\n", resolution=1.0)
 
 
@@ -207,7 +207,7 @@ class TestSampling:
 
     def test_midpoint_linear(self):
         grid = OccupancyGrid.empty(1.0, (2, 1, 1))
-        field = ESDFField(grid, np.array([[[1.0]], [[2.0]]]), 5.0)
+        field = ESDFField(grid, np.array([[[1.0]], [[2.0]]]))
         mid = 0.5 * (center(grid, (0, 0, 0)) + center(grid, (1, 0, 0)))
         assert field.distance_at(mid) == pytest.approx(1.5, abs=1e-12)
 
@@ -257,7 +257,7 @@ class TestGradient:
     def test_linear_field(self):
         grid = OccupancyGrid.empty(0.5, (8, 4, 4))
         centers_x = (np.arange(8) + 0.5) * 0.5
-        field = ESDFField(grid, np.tile(centers_x[:, None, None], (1, 4, 4)), 10.0)
+        field = ESDFField(grid, np.tile(centers_x[:, None, None], (1, 4, 4)))
         p = np.array([1.7, 0.9, 1.1])
         assert np.allclose(field.distance_and_gradient(p)[1],
                            [[1.0, 0.0, 0.0]], atol=1e-12)

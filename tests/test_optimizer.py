@@ -92,6 +92,19 @@ class TestOptimize:
         totals = [vals["total"] for _, vals in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
+    def test_report_describes_the_returned_trajectory(self):
+        rng = np.random.default_rng(2)
+        traj = hover_traj([2.0, 2.0, 0.0], 0.0, n=10)
+        traj.q[3:] += rng.normal(scale=1.0, size=(7, 3))
+        track = static_track(10, [5.0, 2.0, 0.0])
+        field = open_field()
+        res = optimize(traj, track, field, PARAMS, CostWeights(), LIMITS)
+        rep = total_cost(res.trajectory, track, field, PARAMS, CostWeights(),
+                         LIMITS)
+        assert res.iterations > 0
+        assert rep.total == res.final_report.total
+        assert res.trace[-1][1]["total"] == res.final_report.total
+
     def test_fixed_points_bit_exact(self):
         rng = np.random.default_rng(3)
         traj = hover_traj([2.0, 2.0, 0.0], 0.1, n=10)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
-from visiplan.env import (GridError, OccupancyGrid, build_esdf, finite_array,
+from visiplan.env import (FieldError, OccupancyGrid, build_esdf, finite_array,
                           is_number)
 from visiplan.optimizer import OptimizerConfig
 from visiplan.search import SearchConfig
@@ -77,7 +77,7 @@ def _vector(d: dict, key: str, ctx: str, default=_REQUIRED, shape=(3,),
         else d.get(key, default)
     try:
         return finite_array(value, shape, key, what)
-    except GridError:
+    except FieldError:
         raise ScenarioError(f"scenario field '{_field_name(ctx, key)}' must "
                             f"be {what}, got {value!r}") from None
 
@@ -146,7 +146,7 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
     d_trunc = _number(raw, "d_trunc", "scenario", 5.0)
     try:
         esdf = build_esdf(grid, d_trunc)
-    except GridError as e:
+    except FieldError as e:
         raise ScenarioError(f"scenario field 'd_trunc': {e}") from e
 
     rs = _known(_require(raw, "robot_start", "scenario"), "robot_start",
@@ -202,7 +202,7 @@ def _reference_load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> Occupa
         try:
             return OccupancyGrid.from_ascii(Path(p).read_text(),
                                             resolution=resolution)
-        except (OSError, GridError) as e:
+        except (OSError, FieldError) as e:
             raise ScenarioError(f"cannot load map '{m['file']}': {e}") from e
     if "generator" in m:
         _known(m, "map", {"generator"})
@@ -252,7 +252,7 @@ def _reference_load_map(m: dict, base_dir: Path, seed: int, raw: dict) -> Occupa
         _known(m, "map", {"resolution", "origin", "dims", "occupied"})
         try:
             return OccupancyGrid.from_json_dict(m)
-        except GridError as e:
+        except FieldError as e:
             named = f"scenario field 'map.{e.field}': " if e.field else ""
             raise ScenarioError(named + str(e)) from e
     raise ScenarioError("map must carry 'file', 'generator' or inline grid fields")

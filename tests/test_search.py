@@ -52,6 +52,15 @@ class TestRaycast:
         c = grid.origin + (np.array([4, 4, 0]) + 0.5) * grid.resolution
         assert raycast_occluded(grid, c, c)
 
+    def test_tiny_segment_across_a_face(self):
+        # shorter than 1e-12 cells, but it crosses the face of an occupied
+        # cell: occluded whichever end it starts from
+        grid = OccupancyGrid.empty(1.0, (4, 4, 1))
+        grid.occupancy[2, 1, 0] = True
+        a, b = [2.0 - 2e-13, 1.5, 0.5], [2.0 + 2e-13, 1.5, 0.5]
+        assert raycast_occluded(grid, a, b)
+        assert raycast_occluded(grid, b, a)
+
     def test_misses_beside_obstacle(self):
         grid = OccupancyGrid.empty(0.5, (10, 10, 1))
         grid.occupancy[4, 4, 0] = True
