@@ -10,7 +10,7 @@ from .optimizer import (NumericError, OptimizeResult, OptimizerConfig,
                         Termination, optimize)
 from .predict import PredictionModel, fit, predict_track
 from .search import (InvalidStart, SearchConfig, SearchExhausted,
-                     raycast_occluded, search)
+                     raycast_occluded)
 from .sim import (Planner, RunReport, Scenario, generate_random_forest,
                   load_scenario, run, write_outputs)
 from .spline import (RobotState, TrajectoryBSpline, initialize_from_path,

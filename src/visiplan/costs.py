@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .env import ESDFField, FieldError, require_valid_fields
+from .env import ESDFField, require, require_valid_fields
 from .spline import TrajectoryBSpline, wrap_angle
 
 DEGENERATE_EPS = 1e-6      # min horizontal robot-target distance for yaw terms
@@ -33,9 +33,8 @@ class VisibilityParams:
 
     def __post_init__(self):
         require_valid_fields(self)
-        if not self.od_min < self.od_max:
-            raise FieldError(f"od_max must exceed od_min {self.od_min!r}, "
-                             f"got {self.od_max!r}", "od_max")
+        require(self.od_min < self.od_max, "od_max",
+                f"exceed od_min {self.od_min!r}", self.od_max)
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,11 @@ class DynamicLimits:
         # the costs and the search square every limit
         for f in fields(self):
             value = float(getattr(self, f.name))
-            if not math.isfinite(value * value):
-                raise FieldError(f"{f.name} must have a finite square, "
-                                 f"got {value!r}", f.name)
+            require(math.isfinite(value * value), f.name,
+                    "have a finite square", value)
         # the search sums a_m squared over up to three axes
-        if not math.isfinite(3.0 * float(self.a_m) ** 2):
-            raise FieldError(f"a_m must have a finite square times 3, got "
-                             f"{self.a_m!r}", "a_m")
+        require(math.isfinite(3.0 * float(self.a_m) ** 2), "a_m",
+                "have a finite square times 3", self.a_m)
 
 
 @dataclass

@@ -28,6 +28,12 @@ class FieldError(ValueError):
         self.field = field
 
 
+def require(ok: bool, name: str, what: str, value) -> None:
+    """Unless `ok`, a FieldError naming `name`, which must `what`."""
+    if not ok:
+        raise FieldError(f"{name} must {what}, got {value!r}", name)
+
+
 # The most cells a grid may hold. The largest bundled or benchmark map has
 # 200 x 200 = 40,000 cells; this admits a hundred times as many, while a
 # grid of this size, its distance field and its summed-volume table take
@@ -52,21 +58,17 @@ class OccupancyGrid:
 
     def __post_init__(self):
         res = self.resolution
-        if not (is_number(res, float) and res > 0):
-            raise FieldError(f"resolution must be a positive number, got "
-                             f"{res!r}", "resolution")
+        require(is_number(res, float) and res > 0, "resolution",
+                "be a positive number", res)
         self.resolution = float(res)
         try:
             dims_ok = len(self.dims) == 3 and all(
                 isinstance(n, numbers.Integral) and n >= 1 for n in self.dims)
         except TypeError:
             dims_ok = False
-        if not dims_ok:
-            raise FieldError(f"dims must be 3 integers >= 1, got "
-                             f"{self.dims!r}", "dims")
-        if math.prod(map(int, self.dims)) > MAX_CELLS:
-            raise FieldError(f"dims must hold at most {MAX_CELLS} cells, got "
-                             f"{self.dims!r}", "dims")
+        require(dims_ok, "dims", "be 3 integers >= 1", self.dims)
+        require(math.prod(map(int, self.dims)) <= MAX_CELLS, "dims",
+                f"hold at most {MAX_CELLS} cells", self.dims)
         self.origin = finite_array(self.origin, (3,), "origin",
                                    "3 finite numbers")
         self.occupancy = np.zeros(self.dims, dtype=bool)
@@ -196,9 +198,7 @@ def require_valid_fields(config, nonnegative=()) -> None:
             else f"a finite {sign} number"
         ok = is_number(value, int if f.type == "int" else float) and (
             value >= 0 if f.name in nonnegative else value > 0)
-        if not ok:
-            raise FieldError(f"{f.name} must be {what}, got {value!r}",
-                             f.name)
+        require(ok, f.name, f"be {what}", value)
         if f.type == "int":
             object.__setattr__(config, f.name, int(value))
 

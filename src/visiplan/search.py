@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import DynamicLimits
-from .env import ESDFField, FieldError, OccupancyGrid, require_valid_fields
+from .env import ESDFField, OccupancyGrid, require, require_valid_fields
 
 
 class SearchError(RuntimeError):
@@ -51,6 +51,9 @@ TRACKING_WEIGHT = 0.05
 # floats per search node: position (3), velocity (3), time, cost, accumulated
 # deviation, parent row (-1 for the root), sighted (1.0 or 0.0)
 NODE_ROW = 11
+# the best cost of an expanded key, below every cost: one `best <= g` test
+# prunes a path to a closed key and a worse path to an open one
+_CLOSED = -math.inf
 
 
 @dataclass
@@ -61,9 +64,8 @@ class SearchConfig:
     def __post_init__(self):
         require_valid_fields(self)
         # the goal lies at the horizon, so a path must be allowed to reach it
-        if not self.horizon_slack >= 1:
-            raise FieldError(f"horizon_slack must be at least 1, "
-                             f"got {self.horizon_slack!r}", "horizon_slack")
+        require(self.horizon_slack >= 1, "horizon_slack", "be at least 1",
+                self.horizon_slack)
 
 
 def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
@@ -381,7 +383,6 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # instead of dashing ahead and waiting
     open_heap = [(heuristic(root_p, root_v, 0.0), 0.0, root_key, 0)]
     best_g: dict = {root_key: 0.0}
-    closed: set = set()
     expansions = 0
     # all nodes of one depth share one float time, hence one target sample:
     # t_next -> (layer, follow point, target position, target cell, hit);
@@ -390,9 +391,9 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
     while open_heap:
         _, _, key, node = heapq.heappop(open_heap)
-        if key in closed:
+        if best_g[key] == _CLOSED:
             continue
-        closed.add(key)
+        best_g[key] = _CLOSED
         b = node * NODE_ROW
         x, y, z, vx, vy, vz, t, cost, deviation, _, sighted = \
             nodes[b:b + NODE_ROW]
@@ -432,7 +433,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         hit_rejects = hit is not None and sighted
 
         # successors, with the velocity bound and (for a sighted node, whose
-        # children stay sighted) the closed/worse prune before any geometry
+        # children stay sighted) the best-cost prune before any geometry
         mx, my, mz = x + vx * tau, y + vy * tau, z + vz * tau
         live = []
         for i, ((tx, ty, tz), (sx, sy, sz), step) in prims:
@@ -449,10 +450,8 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
                    round(nz_ * inv_prune), round(nvx * inv_vq),
                    round(nvy * inv_vq), round(nvz * inv_vq), layer)
             if sighted:
-                k_sighted = (*row, True)
-                prev = best_g.get(k_sighted)
-                if k_sighted in closed or (prev is not None
-                                           and prev <= g_new):
+                prev = best_g.get((*row, True))
+                if prev is not None and prev <= g_new:
                     continue
             live.append((i, (nx_, ny_, nz_), (nvx, nvy, nvz), dev, g_new,
                          row))
@@ -483,8 +482,6 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             else:
                 nsighted = True
             nkey = (*row, nsighted)
-            if nkey in closed:
-                continue
             prev = best_g.get(nkey)
             if prev is not None and prev <= g_new:
                 continue

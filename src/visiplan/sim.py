@@ -24,7 +24,7 @@ import numpy as np
 from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
                     TargetTrack, VisibilityParams)
 from .env import (MAX_CELLS, ESDFField, FieldError, OccupancyGrid,
-                  build_esdf, finite_array, is_number)
+                  build_esdf, finite_array, is_number, require)
 from .optimizer import optimize
 from .predict import fit, predict_track
 from .rng import Rng
@@ -62,6 +62,8 @@ class WaypointScript:
 
     @classmethod
     def from_path(cls, points, speed: float, start_hold: float):
+        require(speed > 0, "speed", "be greater than 0", speed)
+        require(start_hold >= 0, "start_hold", "be at least 0", start_hold)
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = [pts[0]]
         times = [0.0]
@@ -100,10 +102,18 @@ def random_target_script(rng: Rng, esdf: ESDFField,
     least `clearance` from obstacles along its whole length, and consecutive
     legs turn by at most `_WALK_MAX_TURN` radians (a point target can
     hairpin, a vehicle-like one does not). `rng` is anything whose
-    `uniform(low, high)` draws one float, such as an `Rng`."""
-    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = \
-        np.asarray(bounds, dtype=np.float64).tolist()
+    `uniform(low, high)` draws one float, such as an `Rng`. A FieldError
+    names a bad argument."""
+    require(speed > 0, "speed", "be greater than 0", speed)
+    require(clearance >= 0, "clearance", "be at least 0", clearance)
+    box = np.asarray(bounds, dtype=np.float64).tolist()
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = box
+    require(x_lo <= x_hi and y_lo <= y_hi and z_lo <= z_hi, "bounds",
+            "be 3 [low, high] pairs with low <= high", box)
     pts = [np.asarray(start, dtype=np.float64)]
+    x, y, z = pts[0].tolist()
+    require(x_lo <= x <= x_hi and y_lo <= y <= y_hi and z_lo <= z <= z_hi,
+            "start", "lie inside bounds", [x, y, z])
     along = np.linspace(0, 1, 24)[:, None]
     heading = None
     total_time = _WALK_START_HOLD
@@ -155,12 +165,25 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     """Cylindrical obstacles dropped uniformly over a planar map.
 
     Deterministic per seed. Every obstacle keeps `clearance` meters between
-    its surface and each keep_clear point.
+    its surface and each keep_clear point. A FieldError names a bad
+    argument.
     """
     rng = Rng(seed)
     resolution = FOREST_RESOLUTION
     w, h = float(area[0]), float(area[1])
-    nx, ny = int(round(w / resolution)), int(round(h / resolution))
+    # cells per side, rounded; capped so that a side past the budget stays
+    # finite and still breaks it (a NaN side counts 0 cells)
+    nx, ny = (round(min(MAX_CELLS + 1, max(0.0, a / resolution)))
+              for a in (w, h))
+    require(min(nx, ny) >= 1, "area", "span at least one cell at the "
+            f"generator's resolution {resolution!r}", [w, h])
+    require(nx * ny <= MAX_CELLS, "area", f"span at most {MAX_CELLS} cells "
+            f"at the generator's resolution {resolution!r}", [w, h])
+    require(count >= 0, "count", "be at least 0", count)
+    r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
+    require(0.0 < r_lo <= r_hi, "radius_range",
+            "be a list [low, high] with 0 < low <= high", [r_lo, r_hi])
+    require(clearance >= 0, "clearance", "be at least 0", clearance)
     grid = OccupancyGrid.empty(resolution, (nx, ny, 1))
     keep_x, keep_y = np.array([(p[0], p[1]) for p in keep_clear],
                               dtype=np.float64).reshape(-1, 2).T
@@ -170,7 +193,6 @@ def generate_random_forest(seed: int, area, count: int, radius_range,
     # one candidate is the draws (cx, cy, r) in this order; a round draws
     # as many as obstacles are left, and what one obstacle does not use
     # the next one tries
-    r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
     placed = failed = 0
     while placed < count:
         cand = np.array([[rng.uniform(0.0, w), rng.uniform(0.0, h),
@@ -212,11 +234,10 @@ class Scenario:
     file sets: the mission's world, target, vehicle limits and prediction
     model. The camera's and the planner's fixed settings are class
     attributes, not fields, so no scenario can set them. `esdf` is the
-    truncated ESDF of `grid` at `d_trunc`, built once at load and used by
-    the planner; it belongs to that grid, so the grid must not change."""
+    truncated ESDF of the map at `d_trunc`, built once at load and used by
+    the planner; it holds the map, `grid`, which must not change."""
 
     name: str
-    grid: OccupancyGrid
     esdf: ESDFField
     start: RobotState
     target: WaypointScript
@@ -240,6 +261,10 @@ class Scenario:
     predict_ridge = 1e-4
     params = VisibilityParams()
     weights = CostWeights()
+
+    @property
+    def grid(self) -> OccupancyGrid:
+        return self.esdf.grid
 
     def effective_weights(self) -> CostWeights:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
@@ -285,8 +310,8 @@ def _bad(name: str, what: str, value) -> ScenarioError:
 
 def _checked(section: str, build, *args, **kwargs):
     """build(*args, **kwargs) for a section that checks its own fields (a
-    config dataclass or a grid); a FieldError it raises becomes a
-    ScenarioError naming `section.field`."""
+    config dataclass, a grid, a forest or a target script); a FieldError it
+    raises becomes a ScenarioError naming `section.field`."""
     try:
         return build(*args, **kwargs)
     except FieldError as e:
@@ -394,32 +419,31 @@ _NONNEGATIVE = _number(least=0)
 _POINT = _array((3,), "a list of 3 numbers")
 
 # the kinds of map and of target, each told by its first key; a map file
-# is an ASCII raster, and the grid code checks an inline grid
+# is an ASCII raster. The grid code checks an inline grid, and the builders
+# of a forest and of a target script check the bounds of their arguments
 _GRID_FILE = (_Row("file", _text), _Row("resolution", _POSITIVE))
 _FOREST = (_Row("generator", _section(
-    _Row("area", _array((2,), "a list of 2 positive numbers")),
-    _Row("count", _number(int, least=0)),
-    _Row("radius_range", _array((2,), "a list [low, high] with "
-                                "0 < low <= high")),
-    _Row("clearance", _NONNEGATIVE, 1.0))),)
+    _Row("area", _array((2,), "a list of 2 numbers")),
+    _Row("count", _number(int)),
+    _Row("radius_range", _array((2,), "a list of 2 numbers")),
+    _Row("clearance", _number(), 1.0))),)
 _INLINE_GRID = tuple(_Row(key, _as_given)
                      for key in ("dims", "resolution", "occupied"))
 _PATH = (_Row("path", _array((None, 3), "a nonempty list of [x, y, z] "
                              "points")),
-         _Row("speed", _POSITIVE, 1.0),
-         _Row("start_hold", _NONNEGATIVE, 0.0))
+         _Row("speed", _number(), 1.0),
+         _Row("start_hold", _number(), 0.0))
 _RANDOM_WALK = (_Row("random", _section(
     _Row("start", _POINT),
-    _Row("speed", _POSITIVE),
+    _Row("speed", _number()),
     _Row("bounds", _array((3, 2), "3 [low, high] pairs")),
-    _Row("clearance", _NONNEGATIVE, 0.6))),)
+    _Row("clearance", _number(), 0.6))),)
 
 _SCENARIO = (
     _Row("name", _text, "scenario"),
     _Row("seed", _SEED, 0),
     _Row("map", _one_of(_GRID_FILE, _FOREST, _INLINE_GRID)),
-    _Row("robot_start", _section(_Row("p", _POINT),
-                                 _Row("yaw", _number(), 0.0))),
+    _Row("robot_start", _section(_Row("p", _POINT))),
     _Row("target", _one_of(_PATH, _RANDOM_WALK)),
     _Row("duration", _POSITIVE),
     _Row("search_horizon", _POSITIVE, Scenario.horizon),
@@ -463,13 +487,12 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         raise _bad("search.max_expansions", f"at least {depths}, one per "
                    f"{TAU} s depth of the {s.search_horizon} s search "
                    "horizon", s.search.max_expansions)
-    start = RobotState.at_rest(s.robot_start.p, s.robot_start.yaw)
-    grid = _checked("map", _load_map, *s.map, base_dir, s.seed,
-                    keep_clear=(start.p, _target_start(*s.target)))
+    start = RobotState.at_rest(s.robot_start.p, 0.0)
+    grid = _load_map(*s.map, base_dir, s.seed,
+                     keep_clear=(start.p, _target_start(*s.target)))
     esdf = build_esdf(grid, Scenario.d_trunc)
     return Scenario(
         name=s.name,
-        grid=grid,
         esdf=esdf,
         start=start,
         target=_load_target(*s.target, esdf, s.seed, s.duration),
@@ -494,27 +517,10 @@ def _load_map(kind, m: SimpleNamespace, base_dir: Path, seed: int,
         except (OSError, FieldError) as e:
             raise ScenarioError(f"cannot load map '{m.file}': {e}") from e
     if kind is _INLINE_GRID:
-        return OccupancyGrid.from_json_dict(vars(m))
+        return _checked("map", OccupancyGrid.from_json_dict, vars(m))
     g = m.generator
-    # cells per side as the generator rounds them, capped so that a side
-    # past the budget stays finite and still breaks it
-    nx, ny = (round(min(float(a) / FOREST_RESOLUTION, MAX_CELLS + 1))
-              for a in g.area)
-    if min(nx, ny) < 1:
-        raise ScenarioError("scenario field 'map.generator.area' must span "
-                            "at least one cell at the generator's resolution "
-                            f"{FOREST_RESOLUTION!r}, got {g.area.tolist()!r}")
-    if nx * ny > MAX_CELLS:
-        raise ScenarioError("scenario field 'map.generator.area' must span "
-                            f"at most {MAX_CELLS} cells at the generator's "
-                            f"resolution {FOREST_RESOLUTION!r}, got "
-                            f"{g.area.tolist()!r}")
-    if not 0.0 < g.radius_range[0] <= g.radius_range[1]:
-        raise _bad("map.generator.radius_range",
-                   "a list [low, high] with 0 < low <= high",
-                   g.radius_range.tolist())
-    return generate_random_forest(seed, g.area, g.count, g.radius_range,
-                                  keep_clear, g.clearance)
+    return _checked("map.generator", generate_random_forest, seed, g.area,
+                    g.count, g.radius_range, keep_clear, g.clearance)
 
 
 def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
@@ -526,17 +532,11 @@ def _target_start(kind, t: SimpleNamespace) -> np.ndarray:
 def _load_target(kind, t: SimpleNamespace, esdf: ESDFField, seed: int,
                  duration: float) -> WaypointScript:
     if kind is _PATH:
-        return WaypointScript.from_path(t.path, t.speed, t.start_hold)
+        return _checked("target", WaypointScript.from_path, t.path, t.speed,
+                        t.start_hold)
     r = t.random
-    if not (r.bounds[:, 0] <= r.bounds[:, 1]).all():
-        raise _bad("target.random.bounds",
-                   "3 [low, high] pairs with low <= high", r.bounds.tolist())
-    if not ((r.bounds[:, 0] <= r.start) & (r.start <= r.bounds[:, 1])).all():
-        raise _bad("target.random.start", "inside target.random.bounds",
-                   r.start.tolist())
-    return random_target_script(Rng(seed + 1), esdf,
-                                r.start, r.speed, duration, r.bounds,
-                                r.clearance)
+    return _checked("target.random", random_target_script, Rng(seed + 1),
+                    esdf, r.start, r.speed, duration, r.bounds, r.clearance)
 
 
 # ---------------------------------------------------------------------------

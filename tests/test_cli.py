@@ -216,7 +216,6 @@ class TestRunCommand:
         # fields no row above covers
         ("mini", "horizon", 0, "horizon"),
         ("forest", "search_horizon", -1.0, "search_horizon"),
-        ("mini", "robot_start.yaw", "north", "robot_start.yaw"),
         ("forest", "map.generator.count", 2.5, "map.generator.count"),
         ("forest", "map.generator.resolution", 0, "map.generator.resolution"),
         ("forest", "target.random.speed", 0, "target.random.speed"),
@@ -270,6 +269,7 @@ class TestRunCommand:
         _row("mini", "map.origin", [0, 0, 0], "map.origin", "removed"),
         _row("forest", "map.generator.resolution", 0.1,
              "map.generator.resolution", "removed"),
+        ("mini", "robot_start.yaw", "north", "robot_start.yaw"),
         ("mini", "fov_h_deg", 200, "fov_h_deg"),
         ("mini", "fov_v_deg", 0, "fov_v_deg"),
         ("mini", "limits.v_phi_m", 1e200, "limits.v_phi_m"),
@@ -377,7 +377,8 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'map.generator.area' must span at least one cell" in err
+        assert "'map.generator.area': area must span at least one cell" \
+            in err
         assert "dims" not in err
 
     def test_dump_flags(self, mini_path, tmp_path):

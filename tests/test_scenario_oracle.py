@@ -174,7 +174,6 @@ def reference_scenario_from_dict(raw: dict, base_dir: Path | None = None,
     _number(raw, "fov_v_deg", "scenario", 65.0)
     scenario = Scenario(
         name=str(raw.get("name", "scenario")),
-        grid=grid,
         esdf=esdf,
         start=start,
         target=_reference_load_target(tgt, esdf, eff_seed, duration),
@@ -385,7 +384,6 @@ def vary(data, raw: dict, choices) -> dict:
 COMMON = [
     ("name", st.text(max_size=8), True),
     ("seed", st.integers(0, 2 ** 40), True),
-    ("robot_start.yaw", number(-4.0, 4.0), True),
     ("duration", number(0.5, 40.0), False),
     ("search_horizon", number(0.5, 3.0), True),
     ("predict.degree", st.integers(0, 4), True),

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,12 @@ class TestSearch:
         # midpoint velocities of constant-acceleration arcs stay below the
         # per-node bound as well
         assert np.all(np.linalg.norm(vel, axis=1) <= LIMITS.v_m + 1e-9)
+
+
+def test_package_attribute_is_the_search_module():
+    """The package exports no name that hides its `search` submodule."""
+    import visiplan
+    import visiplan.search as module
+    assert module is sys.modules["visiplan.search"]
+    assert visiplan.search is module
+    assert module.SearchConfig is SearchConfig

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from visiplan import sim
 from visiplan.costs import CostWeights, DynamicLimits, VisibilityParams
 from visiplan.env import FieldError, OccupancyGrid, build_esdf
 from visiplan.optimizer import OptimizerConfig
+from visiplan.rng import Rng
 from visiplan.search import TAU, SearchConfig, raycast_occluded
 from visiplan.sim import (HEATMAP_BIN, HEATMAP_WINDOW, Scenario,
                           ScenarioError, WaypointScript, _cone_contains,
@@ -97,6 +99,45 @@ class TestRandomTarget:
         assert np.array_equal(s1.points, s2.points)
         for t in np.linspace(0, s1.times[-1], 120):
             assert esdf.distance_at(s1.at(t)) > 0.6
+
+
+class TestBuildersNameBadArguments:
+    """The forest generator and both target-script builders check their
+    own arguments: a bad one is a FieldError that names it."""
+
+    @pytest.mark.parametrize("bad", [
+        {"radius_range": (-0.5, -0.2)}, {"radius_range": (0.5, 0.2)},
+        {"area": (0.01, 20)}, {"area": (20, -20)}, {"area": (1e300, 20)},
+        {"area": (math.nan, 20)}, {"count": -1}, {"clearance": -0.5}])
+    def test_forest(self, bad):
+        args = {"seed": 0, "area": (20, 20), "count": 4,
+                "radius_range": (0.3, 0.5), "clearance": 1.0, **bad}
+        [name] = bad
+        with pytest.raises(FieldError, match=f"^{name} must ") as e:
+            generate_random_forest(**args)
+        assert e.value.field == name
+
+    @pytest.mark.parametrize("bad", [
+        {"bounds": [[18.5, 1.5], [1.5, 18.5], [0.0, 0.0]]},
+        {"start": [0.5, 10.0, 0.0]}, {"speed": 0.0}, {"speed": -1.0},
+        {"clearance": -0.1}])
+    def test_random_walk(self, bad):
+        esdf = build_esdf(OccupancyGrid.empty(0.1, (200, 200, 1)), 5.0)
+        args = {"start": [3.0, 3.0, 0.0], "speed": 1.5, "duration": 10.0,
+                "bounds": [[1.5, 18.5], [1.5, 18.5], [0.0, 0.0]],
+                "clearance": 0.6, **bad}
+        [name] = bad
+        with pytest.raises(FieldError, match=f"^{name} must ") as e:
+            random_target_script(Rng(1), esdf, **args)
+        assert e.value.field == name
+
+    @pytest.mark.parametrize("bad", [{"speed": 0.0}, {"start_hold": -1}])
+    def test_path(self, bad):
+        args = {"speed": 1.0, "start_hold": 0.0, **bad}
+        [name] = bad
+        with pytest.raises(FieldError, match=f"^{name} must ") as e:
+            WaypointScript.from_path([[0, 0, 0], [1, 0, 0]], **args)
+        assert e.value.field == name
 
 
 class TestForestGenerator:
@@ -234,7 +275,7 @@ class TestScenarioLoading:
         mode and the seed; the planner's fixed settings are class constants
         that every scenario reads alike and no caller can set."""
         assert [f.name for f in dataclasses.fields(Scenario)] == [
-            "name", "grid", "esdf", "start", "target", "duration",
+            "name", "esdf", "start", "target", "duration",
             "search_horizon", "seed", "limits", "search_config",
             "predict_degree", "predict_window", "predict_v_max", "mode"]
         flown = {"fov_h_half": math.radians(40.0),
@@ -343,7 +384,7 @@ class TestRun:
         raw = {
             "map": {"resolution": 0.1, "dims": [100, 100, 1],
                     "occupied": []},
-            "robot_start": {"p": [2.0, 5.0, 0.0], "yaw": 0.0},
+            "robot_start": {"p": [2.0, 5.0, 0.0]},
             "target": {"path": [[5.0, 5.0, 0.0]], "speed": 1.0},
             "duration": 5.0,
         }
@@ -400,12 +441,26 @@ class TestRun:
         assert sc.esdf.grid is sc.grid
         assert sc.esdf.distance.tobytes() == \
             build_esdf(sc.grid, sc.d_trunc).distance.tobytes()
+        # the ESDF holds the map, so no copy can pair it with another grid
+        with pytest.raises(TypeError):
+            dataclasses.replace(sc, grid=OccupancyGrid.empty(0.1, (2, 2, 1)))
+        with pytest.raises(AttributeError):
+            sc.grid = sc.grid
         sc.duration = 0.3
 
         def rebuild(*args):
             raise AssertionError("run built a second ESDF")
         monkeypatch.setattr(sim, "build_esdf", rebuild)
         assert run(sc).steps
+
+    @pytest.mark.parametrize("mode", ["visibility", "baseline"])
+    @pytest.mark.parametrize("name", ["case1", "case2", "mini", "forest"])
+    def test_bundled_runs_raise_no_runtime_warning(self, name, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sc = load_scenario(bundled_scenario(name), mode=mode)
+            sc.duration = 2.0
+            assert run(sc).steps
 
     def test_deterministic_reports(self):
         r1 = mini_report()
@@ -426,7 +481,7 @@ class TestRun:
         raw = {
             "map": {"resolution": grid.resolution, "dims": list(grid.dims),
                     "occupied": grid.occupied_cells().tolist()},
-            "robot_start": {"p": [3.05, 3.05, 0.05], "yaw": 0.0},
+            "robot_start": {"p": [3.05, 3.05, 0.05]},
             "target": {"path": [[7.55, 3.05, 0.05], [7.9, 3.05, 0.05]],
                        "speed": 0.2},
             "duration": 2.0,
