@@ -332,19 +332,20 @@ def cost_safe_tracking(traj: TrajectoryBSpline, params: VisibilityParams,
 
 
 # Every objective term, in evaluation order: its key in `CostReport.terms`,
-# its CostWeights field, its column in `CostReport.term_values` and the trace
-# files, and the arguments its function cost_<name> takes.
-Term = namedtuple("Term", "name weight column args")
+# its CostWeights field, and the arguments its function cost_<name> takes.
+Term = namedtuple("Term", "name weight args")
+# its column in `CostReport.term_values` and the trace files: J_do for w_do
+Term.column = property(lambda term: "J" + term.weight[1:])
 TERMS = (
-    Term("do", "w_do", "J_do", ("traj", "target", "params")),
-    Term("ao", "w_ao", "J_ao", ("traj", "target", "params")),
-    Term("oe", "w_oe", "J_oe", ("traj", "target", "params", "esdf")),
-    Term("feasibility", "w_f", "J_f", ("traj", "limits")),
-    Term("yaw_feasibility", "w_f_phi", "J_f_phi", ("traj", "limits")),
-    Term("smoothness", "w_s", "J_s", ("traj",)),
-    Term("yaw_smoothness", "w_s_phi", "J_s_phi", ("traj",)),
-    Term("collision", "w_c", "J_c", ("traj", "limits", "esdf")),
-    Term("safe_tracking", "w_v", "J_v", ("traj", "params", "limits")),
+    Term("do", "w_do", ("traj", "target", "params")),
+    Term("ao", "w_ao", ("traj", "target", "params")),
+    Term("oe", "w_oe", ("traj", "target", "params", "esdf")),
+    Term("feasibility", "w_f", ("traj", "limits")),
+    Term("yaw_feasibility", "w_f_phi", ("traj", "limits")),
+    Term("smoothness", "w_s", ("traj",)),
+    Term("yaw_smoothness", "w_s_phi", ("traj",)),
+    Term("collision", "w_c", ("traj", "limits", "esdf")),
+    Term("safe_tracking", "w_v", ("traj", "params", "limits")),
 )
 
 

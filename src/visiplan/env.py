@@ -45,16 +45,16 @@ MAX_CELLS = 2 ** 22
 class OccupancyGrid:
     """Axis-aligned voxel grid. `origin` is the world position of the
     low corner of cell (0, 0, 0); cell centers sit at origin + (i + 0.5) * res.
-    Every cell starts free.
+    Every cell starts free; `occupancy` is read-only once its ESDF or its
+    summed-volume table exists, so they and the rays read one map.
     """
 
     resolution: float
     origin: np.ndarray
     dims: tuple[int, int, int]
     occupancy: np.ndarray = field(init=False, repr=False)
-    # (occupancy it was built from, summed-volume table)
-    _counts: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _summed_volume: np.ndarray | None = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         res = self.resolution
@@ -93,19 +93,19 @@ class OccupancyGrid:
     def occupied_counts(self) -> np.ndarray:
         """Read-only summed-volume table (Crow 1984) of the occupancy: entry
         [i, j, k] counts the occupied cells in [0, i) x [0, j) x [0, k), so
-        the count of any box takes eight lookups. Built on first use and
-        again only after the occupancy changed."""
-        kept = self._counts
-        if kept is None or not np.array_equal(kept[0], self.occupancy):
+        the count of any box takes eight lookups. Built on first use, which
+        makes the occupancy read-only."""
+        if self._summed_volume is None:
+            self.occupancy.setflags(write=False)
             nx, ny, nz = self.dims
             table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
             inner = table[1:, 1:, 1:]   # summed in place: no temporaries
             np.cumsum(self.occupancy, 0, dtype=np.int32, out=inner)
             np.cumsum(inner, 1, out=inner)
             np.cumsum(inner, 2, out=inner)
-            table.flags.writeable = False
-            kept = self._counts = (self.occupancy.copy(), table)
-        return kept[1]
+            table.setflags(write=False)
+            self._summed_volume = table
+        return self._summed_volume
 
     def occupied_cells(self) -> np.ndarray:
         """(K, 3) int array of occupied cell indices."""
@@ -185,6 +185,14 @@ def is_number(value, kind) -> bool:
     return math.isfinite(x) and (kind is not int or x.is_integer())
 
 
+def norm(v) -> float:
+    """Euclidean length of `v`, as `np.linalg.norm` gives it; inf, with no
+    overflow warning, where its square passes the float range (the bearing
+    of a target 1e300 m away, say)."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def require_valid_fields(config, nonnegative=()) -> None:
     """FieldError naming the first field of the config dataclass `config`
     whose value does not fit its annotation: an `int` field holds a positive
@@ -210,14 +218,15 @@ class ESDFField:
     `distance[i, j, k]` is the distance from that cell's center to the
     nearest occupied cell center, min(res * sqrt(integer squared cell
     offset), d_trunc), as `build_esdf` makes it; 0 on occupied cells.
-    Immutable after build (`distance` is read-only); safe to share across
-    planner instances.
+    Immutable after build (`distance` and the grid's occupancy are
+    read-only); safe to share across planner instances.
     """
 
     grid: OccupancyGrid
     distance: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.grid.occupancy.setflags(write=False)
         self.distance = np.asarray(self.distance, dtype=np.float64)
         self.distance.setflags(write=False)
         n = np.asarray(self.grid.dims)

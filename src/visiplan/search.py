@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import DynamicLimits
-from .env import ESDFField, OccupancyGrid, require, require_valid_fields
+from .env import (ESDFField, OccupancyGrid, norm, require,
+                  require_valid_fields)
 
 
 class SearchError(RuntimeError):
@@ -72,7 +73,9 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
     """True iff the segment a->b passes through any occupied cell.
 
     Amanatides & Woo traversal over the cells the segment actually crosses;
-    no sampling gaps. Out-of-grid stretches are treated as free space.
+    no sampling gaps. Out-of-grid stretches are treated as free space, so
+    the traversal ends once it stands outside the grid on an axis it never
+    steps back along: a ray to a far target ends at the grid's border.
     Runs on Python floats over a flat view of the occupancy: a ray crosses
     a few dozen cells, where per-call numpy overhead would dominate.
     """
@@ -101,9 +104,13 @@ def raycast_occluded(grid: OccupancyGrid, a, b) -> bool:
 
     # ties go to the lowest axis: x, then y, then z
     while True:
-        if (0 <= i < nx and 0 <= j < ny and 0 <= k < nz
-                and occ[(i * ny + j) * nz + k]):
-            return True
+        if 0 <= i < nx and 0 <= j < ny and 0 <= k < nz:
+            if occ[(i * ny + j) * nz + k]:
+                return True
+        elif (i < 0 and sx < 1 or i >= nx and sx > -1
+              or j < 0 and sy < 1 or j >= ny and sy > -1
+              or k < 0 and sz < 1 or k >= nz and sz > -1):
+            return False
         if ty < tx:
             if tz < ty:
                 if tz > 1.0:
@@ -344,7 +351,11 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     def in_goal(p, t) -> bool:
         if t < horizon - 1e-9:
             return False
-        gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2 + (p[2] - gz) ** 2)
+        try:
+            gap = math.sqrt((p[0] - gx) ** 2 + (p[1] - gy) ** 2
+                            + (p[2] - gz) ** 2)
+        except OverflowError:   # a goal past the float range
+            return False
         return abs(gap - standoff) <= GOAL_TOLERANCE
 
     # steer toward the follow-behind point of the goal annulus (the annulus
@@ -352,7 +363,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
     # geometry, but foregoes the admissible lower bound.
     # px, py, pz below are read by the heuristic's closure: never rebind them
     away = p0 - goal_center
-    gap0 = np.linalg.norm(away)
+    gap0 = norm(away)
     away = away / gap0 if gap0 > 1e-9 else np.array([1.0, 0.0, 0.0])
     px, py, pz = (float(v) for v in goal_center + standoff * away)
 
@@ -368,7 +379,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
     c0 = np.asarray(target_at(0.0), dtype=np.float64)
     u0 = p0 - c0
-    n0 = np.linalg.norm(u0)
+    n0 = norm(u0)
     u0 = u0 / n0 if n0 > 1e-9 else np.array([1.0, 0.0, 0.0])
 
     sighted0 = not occlusion_check or not raycast_occluded(grid, p0, c0)
@@ -422,7 +433,8 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
         if depth is None:
             c_next = np.asarray(target_at(t_next), dtype=np.float64)
             c_row = c_next.tolist()
-            finite = np.isfinite((c_next - grid.origin) / grid.resolution)
+            with np.errstate(over="ignore"):
+                finite = np.isfinite((c_next - grid.origin) / grid.resolution)
             depth = depths[t_next] = (
                 int(round(t_next / tau)), (c_next + standoff * u0).tolist(),
                 c_row, grid.cell_of(c_row) if finite.all() else None,

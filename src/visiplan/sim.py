@@ -24,7 +24,7 @@ import numpy as np
 from .costs import (DEGENERATE_EPS, TERMS, CostWeights, DynamicLimits,
                     TargetTrack, VisibilityParams)
 from .env import (MAX_CELLS, ESDFField, FieldError, OccupancyGrid,
-                  build_esdf, finite_array, is_number, require)
+                  build_esdf, finite_array, is_number, norm, require)
 from .optimizer import optimize
 from .predict import fit, predict_track
 from .rng import Rng
@@ -71,7 +71,7 @@ class WaypointScript:
             out.append(pts[0])
             times.append(start_hold)
         for a, b in zip(pts[:-1], pts[1:]):
-            end = times[-1] + float(np.linalg.norm(b - a)) / speed
+            end = times[-1] + norm(b - a) / speed
             if end <= times[-1]:    # a leg too short to advance the clock
                 continue
             out.append(b)
@@ -93,6 +93,7 @@ _WALK_LEG_RANGE = (2.0, 5.0)    # meters per leg of a random target walk
 _WALK_MAX_TURN = 1.6            # radians between consecutive legs
 _WALK_START_HOLD = 0.5          # seconds the walker waits at its start
 _WALK_MAX_TRIES = 200           # candidate legs before giving up
+_WALK_MAX_LEGS = 10_000         # legs of the shortest length a walk may need
 
 
 def random_target_script(rng: Rng, esdf: ESDFField,
@@ -103,8 +104,14 @@ def random_target_script(rng: Rng, esdf: ESDFField,
     legs turn by at most `_WALK_MAX_TURN` radians (a point target can
     hairpin, a vehicle-like one does not). `rng` is anything whose
     `uniform(low, high)` draws one float, such as an `Rng`. A FieldError
-    names a bad argument."""
+    names a bad argument: a `speed` at which the walk could need more than
+    `_WALK_MAX_LEGS` legs, or the `bounds` within which a pinned walker
+    finds no leg."""
     require(speed > 0, "speed", "be greater than 0", speed)
+    shortest = _WALK_LEG_RANGE[0]
+    require(speed * duration / shortest <= _WALK_MAX_LEGS, "speed",
+            f"keep a {duration!r} s walk within {_WALK_MAX_LEGS} legs of "
+            f"{shortest} m", speed)
     require(clearance >= 0, "clearance", "be at least 0", clearance)
     box = np.asarray(bounds, dtype=np.float64).tolist()
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = box
@@ -147,7 +154,8 @@ def random_target_script(rng: Rng, esdf: ESDFField,
             placed = True
             break
         if not placed:
-            raise ScenarioError("could not extend random target path")
+            raise FieldError("could not extend random target path",
+                             "bounds")
     return WaypointScript.from_path(np.stack(pts), speed, _WALK_START_HOLD)
 
 
@@ -235,7 +243,7 @@ class Scenario:
     model. The camera's and the planner's fixed settings are class
     attributes, not fields, so no scenario can set them. `esdf` is the
     truncated ESDF of the map at `d_trunc`, built once at load and used by
-    the planner; it holds the map, `grid`, which must not change."""
+    the planner; it holds the map, `grid`, which it makes read-only."""
 
     name: str
     esdf: ESDFField
@@ -270,7 +278,6 @@ class Scenario:
         return self.weights.baseline() if self.mode == "baseline" else self.weights
 
     def config_echo(self) -> dict:
-        w = self.effective_weights()
         return {
             "name": self.name,
             "mode": self.mode,
@@ -281,10 +288,9 @@ class Scenario:
             "num_control_points": self.num_control_points,
             "fov_h_half_rad": self.fov_h_half,
             "fov_v_half_rad": self.fov_v_half,
-            "weights": {t.weight: getattr(w, t.weight) for t in TERMS},
+            "weights": dataclasses.asdict(self.effective_weights()),
             "limits": dataclasses.asdict(self.limits),
-            "params": {k: getattr(self.params, k) for k in
-                       ("od_min", "od_max", "rho", "m_balls")},
+            "params": dataclasses.asdict(self.params),
         }
 
 
@@ -706,10 +712,9 @@ class Planner:
         expanded = [] if self.traced else None
         # the previous front-end path usually still checks out against the
         # fresh prediction; re-searching every cycle would dominate latency
-        reused = _revalidate_path(held, t, state, target_at,
-                                  sc.grid, sc.esdf, sc.limits,
-                                  self.occlusion_check, sc.search_horizon,
-                                  self.standoff)
+        reused = _revalidate_path(held, t, state, target_at, sc.esdf,
+                                  sc.limits, self.occlusion_check,
+                                  sc.search_horizon, self.standoff)
         if reused is not None:
             pts, times = reused
         else:
@@ -755,6 +760,7 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     report = RunReport(scenario_echo=sc.config_echo(), duration=sc.duration,
                        replans=[] if collect_traces else None)
     half_bins = report.heatmap.shape[0] // 2
+    half = HEATMAP_WINDOW / 2
 
     committed = None        # (trajectory, start time)
     held = None             # the front-end path the planner reuses
@@ -777,7 +783,7 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
             state = traj.state_at(min(t - t0, traj.duration()))
 
         rel = target_p - state.p
-        d = float(np.linalg.norm(rel))
+        d = norm(rel)
         psi_best = math.atan2(rel[1], rel[0])
         psi_err = abs(wrap_angle(state.yaw - psi_best))
         occluded = raycast_occluded(sc.grid, state.p, target_p)
@@ -789,11 +795,10 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
                                        occluded))
         if fov:
             report.tracked_steps += 1
-            rx, ry = _rot(rel, -state.yaw)
-            ix = min(max(int((rx + HEATMAP_WINDOW / 2) // HEATMAP_BIN), 0),
-                     2 * half_bins - 1)
-            iy = min(max(int((ry + HEATMAP_WINDOW / 2) // HEATMAP_BIN), 0),
-                     2 * half_bins - 1)
+            # an offset past the window counts in the window's edge bin
+            ix, iy = (min(int((min(max(r, -half), half) + half)
+                              // HEATMAP_BIN), 2 * half_bins - 1)
+                      for r in _rot(rel, -state.yaw))
             report.heatmap[ix, iy] += 1
         else:
             # every earlier step saw the target, so at most this one is
@@ -830,7 +835,7 @@ def run(scenario: Scenario, collect_traces: bool = False) -> RunReport:
     return report
 
 
-def _revalidate_path(held, t, state, target_at, grid, esdf, limits,
+def _revalidate_path(held, t, state, target_at, esdf, limits,
                      occlusion_check, horizon, standoff):
     """Check the previous search path against the fresh prediction; returns
     relative (points, times) when it still serves, else None."""
@@ -856,7 +861,7 @@ def _revalidate_path(held, t, state, target_at, grid, esdf, limits,
         return None
     if occlusion_check:
         for p, s in zip(pts, times):
-            if raycast_occluded(grid, p, np.asarray(target_at(s), float)):
+            if raycast_occluded(esdf.grid, p, target_at(s)):
                 return None
     return pts, times
 

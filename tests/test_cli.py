@@ -337,16 +337,36 @@ class TestRunCommand:
         raw = json.loads(bundled_scenario("mini").read_text())
         raw["duration"] = 0.3
         raw["map"]["resolution"] = resolution
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "o"
-        done = subprocess.run(
-            [sys.executable, "-m", "visiplan.cli", "run", "--scenario",
-             str(path), "--out", str(out)],
-            env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        done, out = _run_in_child(raw, tmp_path)
         assert done.returncode == 0, done.stderr
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == "completed"
+
+    @pytest.mark.parametrize("x", [1e308, 1e300])
+    def test_far_target_flies(self, tmp_path, x):
+        """mini.json with its first target point x m off the map: every ray
+        to the target ends at the grid's border, and no distance past the
+        float range warns (warnings are errors here), so the run ends with
+        a report; its search finds no goal that far."""
+        raw = json.loads(bundled_scenario("mini").read_text())
+        raw["duration"] = 0.3
+        raw["target"]["path"][0] = [x, 6.0, 0.0]
+        done, out = _run_in_child(raw, tmp_path,
+                                  PYTHONWARNINGS="error::RuntimeWarning")
+        assert done.returncode == 0, done.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] == "planner_failure"
+
+    @pytest.mark.parametrize("count", [0, 12])
+    def test_fast_random_target_names_its_speed(self, tmp_path, count):
+        """forest.json's target at 1e6 m/s would need millions of legs: the
+        loader refuses it at once, with or without the forest's trees."""
+        raw = json.loads(bundled_scenario("forest").read_text())
+        raw["map"]["generator"]["count"] = count
+        raw["target"]["random"]["speed"] = 1e6
+        done, _ = _run_in_child(raw, tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "'target.random.speed'" in done.stderr
 
     def test_map_file_past_the_cell_budget_names_it(self, tmp_path, capsys):
         raw = json.loads(bundled_scenario("case1").read_text())
@@ -489,6 +509,20 @@ class TestBenchCommand:
                             for path in out.rglob("*") if path.is_file()})
         assert {"summary.csv", "seed2_baseline/report.json"} <= set(written[0])
         assert written[0] == written[1]
+
+
+def _run_in_child(raw: dict, tmp_path, **env):
+    """`visiplan run` on the scenario `raw` in a child process with the
+    variables `env` set, so that a hang fails on a 60 s timeout; gives the
+    finished process and the output directory."""
+    path, out = tmp_path / "scenario.json", tmp_path / "o"
+    path.write_text(json.dumps(raw))
+    done = subprocess.run(
+        [sys.executable, "-m", "visiplan.cli", "run", "--scenario",
+         str(path), "--out", str(out)],
+        env=_subprocess_env(**env), capture_output=True, text=True,
+        timeout=60)
+    return done, out
 
 
 def _subprocess_env(**extra) -> dict:

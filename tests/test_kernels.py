@@ -26,7 +26,8 @@ from scipy import ndimage
 
 from visiplan.costs import (CostWeights, DynamicLimits, TargetTrack,
                             VisibilityParams, total_cost)
-from visiplan.env import ESDFField, OccupancyGrid, build_esdf, is_number
+from visiplan.env import (ESDFField, FieldError, OccupancyGrid, build_esdf,
+                          is_number)
 from visiplan.optimizer import solve_triangular, whitening_factors
 from visiplan.search import (_buried_certificate, _clearance_certificate,
                              _sight_certificate, raycast_occluded)
@@ -310,6 +311,17 @@ def segments(draw, grid: OccupancyGrid, kind: str, planar: bool):
                                cell_floats(n[ax], n[ax] + 3.0)))
         if draw(st.booleans()):
             a, b = b, a
+    elif kind == "far":
+        # one end inside, the other 1 to 50 grid widths past a face, or
+        # past a corner on every axis
+        a, b = inside(), inside()
+        axes = range(2 if planar else 3) if draw(st.booleans()) \
+            else [draw(st.integers(0, 1 if planar else 2))]
+        for ax in axes:
+            past = draw(cell_floats(1.0, 50.0)) * n[ax]
+            b[ax] = -past if draw(st.booleans()) else n[ax] + past
+        if draw(st.booleans()):
+            a, b = b, a
     else:   # "near_border": end in, or on the face of, a cell next to the border
         a, b = inside(), inside()
         for p in (a, b):
@@ -325,7 +337,7 @@ def segments(draw, grid: OccupancyGrid, kind: str, planar: bool):
 
 
 SEGMENT_KINDS = ["random", "grid_aligned", "axis_parallel", "degenerate",
-                 "crossing_border", "near_border", "off_grid"]
+                 "crossing_border", "near_border", "off_grid", "far"]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +631,7 @@ def test_esdf_distance_is_read_only():
 def result_or_error(make, *args):
     try:
         return make(*args)
-    except ScenarioError as e:
+    except (ScenarioError, FieldError) as e:
         return str(e)
 
 

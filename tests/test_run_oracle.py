@@ -316,7 +316,7 @@ def test_constants_are_built_once_per_run(monkeypatch):
     monkeypatch.setattr(OccupancyGrid, "occupied_counts", counting)
     optimizer.whitening_factors.cache_clear()
     sc = scenario("forest", "visibility", seed=3, duration=1.0)
-    assert sc.grid._counts is None      # not built with the scenario
+    assert sc.grid._summed_volume is None   # not built with the scenario
     assert len(run(sc).replan_times) > 1
     assert len(tables) > 1 and all(t is tables[0] for t in tables)
     info = optimizer.whitening_factors.cache_info()
@@ -351,9 +351,18 @@ def test_reused_constants_are_read_only():
             array[0, 0] = 1.0
 
 
-def test_counts_follow_a_changed_grid():
+def test_a_measured_grid_is_read_only():
+    """A cell write after the ESDF or the summed-volume table exists
+    raises, so the ESDF, the table and the rays read one map."""
     sc = scenario("mini", "visibility")
-    table = sc.grid.occupied_counts()
-    assert table[-1, -1, -1] == 0
-    sc.grid.occupancy[5, 5, 0] = True
-    assert sc.grid.occupied_counts()[-1, -1, -1] == 1
+    with pytest.raises(ValueError):
+        sc.grid.occupancy[5, 5, 0] = True
+    assert sc.grid.occupied_counts()[-1, -1, -1] == 0
+    assert sc.esdf.distance[5, 5, 0] == sc.d_trunc
+    assert not raycast_occluded(sc.grid, [0.05, 0.55, 0.0], [1.05, 0.55, 0.0])
+
+    grid = OccupancyGrid.empty(0.1, (10, 10, 1))
+    grid.occupancy[5, 5, 0] = True      # free to change until measured
+    assert grid.occupied_counts()[-1, -1, -1] == 1
+    with pytest.raises(ValueError):
+        grid.occupancy[5, 5, 0] = False

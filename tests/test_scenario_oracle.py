@@ -316,11 +316,16 @@ def snapshot(value):
 
 def loaded(load, raw, **kwargs):
     """The snapshot of the scenario `load` builds, or the message of the
-    ScenarioError it raises."""
+    ScenarioError it raises. The reference loader lets the FieldError of a
+    walk that cannot go on through; the loader names its field under
+    `target.random`."""
     try:
         return snapshot(load(copy.deepcopy(raw), **kwargs))
     except ScenarioError as e:
         return ("ScenarioError", str(e))
+    except FieldError as e:
+        return ("ScenarioError",
+                f"scenario field 'target.random.{e.field}': {e}")
 
 
 def assert_loads_as_before(raw, **kwargs):

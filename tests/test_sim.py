@@ -100,6 +100,28 @@ class TestRandomTarget:
         for t in np.linspace(0, s1.times[-1], 120):
             assert esdf.distance_at(s1.at(t)) > 0.6
 
+    def test_a_walk_at_the_leg_bound(self):
+        """A walk at the speed of `_WALK_MAX_LEGS` shortest legs loads; a
+        faster one is refused before it walks."""
+        esdf = build_esdf(OccupancyGrid.empty(0.1, (200, 200, 1)), 5.0)
+        args = (esdf, [10.0, 10.0, 0.0])
+        bounds = [[1.5, 18.5], [1.5, 18.5], [0.0, 0.0]]
+        fastest = sim._WALK_MAX_LEGS * sim._WALK_LEG_RANGE[0] / 1000.0
+        script = random_target_script(Rng(1), *args, fastest, 1000.0,
+                                      bounds, 0.6)
+        assert script.times[-1] >= 1000.0
+        with pytest.raises(FieldError, match="^speed must ") as e:
+            random_target_script(Rng(1), *args, 1.5 * fastest, 1000.0,
+                                 bounds, 0.6)
+        assert e.value.field == "speed"
+
+    def test_a_pinned_walk_names_its_bounds(self):
+        esdf = build_esdf(OccupancyGrid.empty(0.1, (200, 200, 1)), 5.0)
+        with pytest.raises(FieldError, match="could not extend") as e:
+            random_target_script(Rng(1), esdf, [5.0, 5.0, 0.0], 1.5, 10.0,
+                                 [[4.5, 5.5], [4.5, 5.5], [0.0, 0.0]], 0.6)
+        assert e.value.field == "bounds"
+
 
 class TestBuildersNameBadArguments:
     """The forest generator and both target-script builders check their
@@ -120,7 +142,7 @@ class TestBuildersNameBadArguments:
     @pytest.mark.parametrize("bad", [
         {"bounds": [[18.5, 1.5], [1.5, 18.5], [0.0, 0.0]]},
         {"start": [0.5, 10.0, 0.0]}, {"speed": 0.0}, {"speed": -1.0},
-        {"clearance": -0.1}])
+        {"speed": 1e6}, {"speed": 1e308}, {"clearance": -0.1}])
     def test_random_walk(self, bad):
         esdf = build_esdf(OccupancyGrid.empty(0.1, (200, 200, 1)), 5.0)
         args = {"start": [3.0, 3.0, 0.0], "speed": 1.5, "duration": 10.0,
