@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,15 +27,15 @@ TRACKING_GATE_SPEED = 0.1  # full tracking-term strength above this speed
 
 @dataclass(frozen=True)
 class VisibilityParams:
-    od_min: float = 2.5
-    od_max: float = 3.5
-    rho: float = 0.8
-    m_balls: int = 10
-
-    def __post_init__(self):
-        require_valid_fields(self)
-        require(self.od_min < self.od_max, "od_max",
-                f"exceed od_min {self.od_min!r}", self.od_max)
+    """The camera's fixed visibility model; it takes no arguments. The
+    search's goal lies `standoff` from the target, mid-band."""
+    od_min: ClassVar[float] = 2.5       # observation-distance band (m)
+    od_max: ClassVar[float] = 3.5
+    rho: ClassVar[float] = 0.8          # confident-FOV ball radius ratio
+    m_balls: ClassVar[int] = 10         # balls per sight line, centered at:
+    ball_fractions: ClassVar[np.ndarray] = np.arange(1, m_balls + 1) / m_balls
+    ball_fractions.setflags(write=False)
+    standoff: ClassVar[float] = 0.5 * (od_min + od_max)
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def cost_oe(traj: TrajectoryBSpline, target: TargetTrack,
     d = np.linalg.norm(rel, axis=1)
     safe_d = np.where(d < 1e-12, 1.0, d)
 
-    lam = np.arange(1, params.m_balls + 1) / params.m_balls     # (M,)
+    lam = params.ball_fractions                                 # (M,)
     centers = p[:, None, :] + lam[None, :, None] * (c - p)[:, None, :]
     radii = params.rho * lam[None, :] * d[:, None]              # (K, M)
 
@@ -371,11 +372,11 @@ def total_cost(traj: TrajectoryBSpline, target: TargetTrack, esdf: ESDFField,
     grad_q = np.zeros((n, 3))
     grad_phi = np.zeros(n)
     vals = dict.fromkeys([t.name for t in TERMS], 0.0)
+    total = 0.0
     for term, w, (v, gq, gp) in weighted_terms(traj, target, esdf, params,
                                                weights, limits):
         vals[term.name] = v
+        total += w * v
         grad_q += w * gq
         grad_phi += w * gp
-
-    total = sum(getattr(weights, t.weight) * vals[t.name] for t in TERMS)
     return CostReport(vals, float(total), grad_q, grad_phi)

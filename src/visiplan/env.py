@@ -45,8 +45,8 @@ MAX_CELLS = 2 ** 22
 class OccupancyGrid:
     """Axis-aligned voxel grid. `origin` is the world position of the
     low corner of cell (0, 0, 0); cell centers sit at origin + (i + 0.5) * res.
-    Every cell starts free; `occupancy` is read-only once its ESDF or its
-    summed-volume table exists, so they and the rays read one map.
+    Every cell starts free. `freeze` measures the map: its ESDF and its
+    summed-volume table call it, so they and the rays read one map.
     """
 
     resolution: float
@@ -55,6 +55,21 @@ class OccupancyGrid:
     occupancy: np.ndarray = field(init=False, repr=False)
     _summed_volume: np.ndarray | None = field(default=None, init=False,
                                               repr=False, compare=False)
+    _frozen = False                     # set for good by `freeze`
+
+    def __setattr__(self, name, value):
+        if name == "occupancy" and self._frozen:
+            raise AttributeError("a measured grid's occupancy is read-only")
+        super().__setattr__(name, value)
+
+    def freeze(self) -> None:
+        """Bind `occupancy` for good to a read-only copy, which no view
+        taken before can write."""
+        if not self._frozen:
+            occupancy = self.occupancy.copy()
+            occupancy.setflags(write=False)
+            self.occupancy = occupancy
+            self._frozen = True
 
     def __post_init__(self):
         res = self.resolution
@@ -94,9 +109,9 @@ class OccupancyGrid:
         """Read-only summed-volume table (Crow 1984) of the occupancy: entry
         [i, j, k] counts the occupied cells in [0, i) x [0, j) x [0, k), so
         the count of any box takes eight lookups. Built on first use, which
-        makes the occupancy read-only."""
+        freezes the grid."""
         if self._summed_volume is None:
-            self.occupancy.setflags(write=False)
+            self.freeze()
             nx, ny, nz = self.dims
             table = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int32)
             inner = table[1:, 1:, 1:]   # summed in place: no temporaries
@@ -226,7 +241,7 @@ class ESDFField:
     distance: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.grid.occupancy.setflags(write=False)
+        self.grid.freeze()
         self.distance = np.asarray(self.distance, dtype=np.float64)
         self.distance.setflags(write=False)
         n = np.asarray(self.grid.dims)
@@ -253,8 +268,10 @@ class ESDFField:
         Component-major layout keeps every later operation contiguous.
         """
         g = self.grid
-        u = np.subtract(pts.T, g.origin[:, None], order="C") / g.resolution \
-            - 0.5
+        # a coordinate past the float range is clamped like any other
+        with np.errstate(over="ignore"):
+            u = np.subtract(pts.T, g.origin[:, None], order="C") \
+                / g.resolution - 0.5
         uc = np.minimum(np.maximum(u, 0.0), self._hi)
         # on a single-cell axis uc and i0 are both 0, so the offset is too
         i0 = np.minimum(np.floor(uc), self._i0_max)
@@ -278,8 +295,10 @@ class ESDFField:
         # the other two axes (lower axis first) and summed in corner order
         w = np.stack([w0, f], axis=1)                     # (3, 2, N)
         t = (c[_EDGE_HI] - c[_EDGE_LO]) * w[_INNER, None] * w[_OUTER, :, None]
-        grad = (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1]) \
-            * (1.0 / self.grid.resolution)
+        # 1 / resolution is inf on a subnormal one; 0 * inf, masked below
+        with np.errstate(invalid="ignore"):
+            grad = (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1]) \
+                * (1.0 / self.grid.resolution)
         grad[(u < 0.0) | (u > self._hi)] = 0.0
         return grad.T
 

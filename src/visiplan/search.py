@@ -14,6 +14,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -42,6 +43,11 @@ HEURISTIC_WEIGHT = 2.5
 # keeps equal-duration paths ordered by control effort
 EFFORT_WEIGHT = 0.25
 COLLISION_SAMPLES = 5                  # clearance samples per primitive
+# the primitives' accelerations as fractions of a_m, x slowest, in 3D and
+# planar (its rows with z at 0); and the clearance sample times
+_SPATIAL_ACCELS = np.array(list(product(ACCEL_FRACTIONS, repeat=3)))
+_PLANAR_ACCELS = _SPATIAL_ACCELS[_SPATIAL_ACCELS[:, 2] == 0.0]
+_SAMPLE_TIMES = np.linspace(0.0, TAU, COLLISION_SAMPLES)
 GOAL_TOLERANCE = 0.5                   # radial slack of the goal annulus
 # cost per second per meter of gap to the follow point (the predicted target
 # offset by the standoff along the initial bearing). Keeps progress paced
@@ -309,22 +315,14 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
 
     goal_center = np.asarray(target_at(horizon), dtype=np.float64)
 
-    if planar:
-        accels = np.array([[ax, ay, 0.0] for ax in ACCEL_FRACTIONS
-                           for ay in ACCEL_FRACTIONS])
-    else:
-        accels = np.array([[ax, ay, az] for ax in ACCEL_FRACTIONS
-                           for ay in ACCEL_FRACTIONS
-                           for az in ACCEL_FRACTIONS])
-    accels = accels * limits.a_m
+    accels = (_PLANAR_ACCELS if planar else _SPATIAL_ACCELS) * limits.a_m
     # per-axis primitives reach sqrt(axes) * a_m along a diagonal; the
     # heuristic must assume that capability to stay a lower bound
     a_cap = limits.a_m * math.sqrt(2.0 if planar else 3.0)
 
     tau = TAU
-    samp_t = np.linspace(0.0, tau, COLLISION_SAMPLES)
     # accel part of the sampled primitive arcs, fixed per successor: (A, S, 3)
-    samp_acc = 0.5 * accels[:, None, :] * (samp_t ** 2)[None, :, None]
+    samp_acc = 0.5 * accels[:, None, :] * (_SAMPLE_TIMES ** 2)[None, :, None]
     step_cost = tau * (1.0 + EFFORT_WEIGHT
                        * (accels ** 2).sum(axis=1) / limits.a_m ** 2)
     # successors run on Python floats, each value computed with the same
@@ -476,7 +474,7 @@ def search(start_state, target_at, grid: OccupancyGrid, esdf: ESDFField,
             dist = None
         else:
             segs = np.array(pos) \
-                + np.outer(samp_t, (vx, vy, vz))[None, :, :] \
+                + np.outer(_SAMPLE_TIMES, (vx, vy, vz))[None, :, :] \
                 + samp_acc[[s[0] for s in live]]
             dist = esdf.distance_at(segs.reshape(-1, 3))
             dist = dist.reshape(len(live), -1).min(axis=1).tolist()

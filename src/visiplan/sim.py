@@ -94,6 +94,7 @@ _WALK_MAX_TURN = 1.6            # radians between consecutive legs
 _WALK_START_HOLD = 0.5          # seconds the walker waits at its start
 _WALK_MAX_TRIES = 200           # candidate legs before giving up
 _WALK_MAX_LEGS = 10_000         # legs of the shortest length a walk may need
+_WALK_LEG_SAMPLES = np.linspace(0, 1, 24)[:, None]   # clearance, along a leg
 
 
 def random_target_script(rng: Rng, esdf: ESDFField,
@@ -121,7 +122,6 @@ def random_target_script(rng: Rng, esdf: ESDFField,
     x, y, z = pts[0].tolist()
     require(x_lo <= x <= x_hi and y_lo <= y <= y_hi and z_lo <= z <= z_hi,
             "start", "lie inside bounds", [x, y, z])
-    along = np.linspace(0, 1, 24)[:, None]
     heading = None
     total_time = _WALK_START_HOLD
     while total_time < duration:
@@ -145,7 +145,7 @@ def random_target_script(rng: Rng, esdf: ESDFField,
                     and z_lo <= cz <= z_hi):
                 continue
             cand = np.array([cx, cy, cz])
-            seg = pts[-1] + along * (cand - pts[-1])
+            seg = pts[-1] + _WALK_LEG_SAMPLES * (cand - pts[-1])
             if np.min(esdf.distance_at(seg)) <= clearance:
                 continue
             pts.append(cand)
@@ -290,7 +290,8 @@ class Scenario:
             "fov_v_half_rad": self.fov_v_half,
             "weights": dataclasses.asdict(self.effective_weights()),
             "limits": dataclasses.asdict(self.limits),
-            "params": dataclasses.asdict(self.params),
+            "params": {k: getattr(self.params, k)
+                       for k in ("od_min", "od_max", "rho", "m_balls")},
         }
 
 
@@ -686,7 +687,6 @@ class Planner:
         self.track_offsets = np.arange(
             0, sc.search_config.horizon_slack * sc.horizon + self.dt_knot,
             self.dt_knot / 2.0)
-        self.standoff = 0.5 * (sc.params.od_min + sc.params.od_max)
         self.weights = sc.effective_weights()
         # visibility-blind: the front end stops rejecting sight-losing nodes
         self.occlusion_check = sc.mode != "baseline"
@@ -714,7 +714,7 @@ class Planner:
         # fresh prediction; re-searching every cycle would dominate latency
         reused = _revalidate_path(held, t, state, target_at, sc.esdf,
                                   sc.limits, self.occlusion_check,
-                                  sc.search_horizon, self.standoff)
+                                  sc.search_horizon, sc.params.standoff)
         if reused is not None:
             pts, times = reused
         else:
@@ -722,7 +722,7 @@ class Planner:
                 pts, times = search(state, target_at, sc.grid, sc.esdf,
                                     sc.limits, sc.search_config,
                                     horizon=sc.search_horizon,
-                                    standoff=self.standoff,
+                                    standoff=sc.params.standoff,
                                     occlusion_check=self.occlusion_check,
                                     trace=expanded)
                 held = (pts + 0.0, times + t)

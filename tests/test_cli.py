@@ -332,12 +332,14 @@ class TestRunCommand:
         """At a 1e-9 m resolution mini's start and target lie about 1e9
         cells off its grid, and at 5e-324 m every cell coordinate is
         infinite. A ray that misses the grid is clear without a walk over
-        those cells, so the mission completes; it runs in a child process,
-        so that a hang fails on the timeout."""
+        those cells, and a distance query there clamps without an overflow
+        warning (warnings are errors here), so the mission completes; it
+        runs in a child process, so that a hang fails on the timeout."""
         raw = json.loads(bundled_scenario("mini").read_text())
         raw["duration"] = 0.3
         raw["map"]["resolution"] = resolution
-        done, out = _run_in_child(raw, tmp_path)
+        done, out = _run_in_child(raw, tmp_path,
+                                  PYTHONWARNINGS="error::RuntimeWarning")
         assert done.returncode == 0, done.stderr
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == "completed"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from visiplan.costs import (CostWeights, DynamicLimits, TargetTrack,
+from visiplan.costs import (TERMS, CostWeights, DynamicLimits, TargetTrack,
                             VisibilityParams, _best_yaw_array, cost_ao,
                             cost_collision, cost_do, cost_feasibility,
                             cost_oe, cost_safe_tracking, cost_smoothness,
@@ -63,6 +63,26 @@ def assert_grad_close(analytic, fd, rel=1e-4, abs_floor=1e-8):
     scale = max(np.linalg.norm(fd), np.linalg.norm(analytic))
     assert err <= max(rel * scale, abs_floor), \
         f"gradient mismatch: |err|={err:.3e} scale={scale:.3e}"
+
+
+class TestVisibilityParams:
+    def test_takes_no_arguments(self):
+        assert VisibilityParams() == PARAMS
+        with pytest.raises(TypeError):
+            VisibilityParams(od_min=1.0)
+        with pytest.raises(TypeError):
+            VisibilityParams(2.5, 3.5, 0.8, 10)
+
+    def test_derived_constants_are_the_per_call_expressions(self):
+        """The ball fractions and the standoff, bit for bit, as cost_oe and
+        the planner formed them on every call."""
+        lam = np.arange(1, PARAMS.m_balls + 1) / PARAMS.m_balls
+        assert PARAMS.ball_fractions.tobytes() == lam.tobytes()
+        assert PARAMS.ball_fractions.dtype == lam.dtype
+        assert not PARAMS.ball_fractions.flags.writeable
+        standoff = 0.5 * (PARAMS.od_min + PARAMS.od_max)
+        assert np.float64(PARAMS.standoff).tobytes() == \
+            np.float64(standoff).tobytes()
 
 
 class TestPenalty:
@@ -441,6 +461,20 @@ class TestTotalCost:
             assert_grad_close(rep.grad_q, fq, rel=1e-3)
             assert_grad_close(rep.grad_phi, fphi, rel=1e-3)
             checked += 1
+
+    def test_total_is_the_weighted_sum_in_term_order(self):
+        """The total, bit for bit, as a second pass over every term in TERMS
+        order gives it, a zero-weighted term adding 0.0."""
+        rng = np.random.default_rng(14)
+        for weights in (CostWeights(), CostWeights().baseline()):
+            traj = make_traj(rng)
+            track = make_track(rng, traj)
+            rep = total_cost(traj, track, make_field(rng), PARAMS, weights,
+                             LIMITS)
+            total = sum(getattr(weights, t.weight) * rep.terms[t.name]
+                        for t in TERMS)
+            assert np.float64(rep.total).tobytes() == \
+                np.float64(total).tobytes()
 
     def test_report_serializes(self):
         rng = np.random.default_rng(16)

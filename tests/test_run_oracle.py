@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from visiplan import optimizer, sim
-from visiplan.env import OccupancyGrid
+from visiplan.env import OccupancyGrid, build_esdf
 from visiplan.optimizer import OptimizerConfig, optimize
 from visiplan.predict import fit, predict_track
 from visiplan.search import (GOAL_TOLERANCE, SearchError, raycast_occluded,
@@ -366,3 +366,23 @@ def test_a_measured_grid_is_read_only():
     assert grid.occupied_counts()[-1, -1, -1] == 1
     with pytest.raises(ValueError):
         grid.occupancy[5, 5, 0] = False
+
+
+@pytest.mark.parametrize("measure", [
+    lambda grid: build_esdf(grid, 5.0), OccupancyGrid.occupied_counts],
+    ids=["esdf", "table"])
+def test_no_earlier_view_or_rebinding_reaches_a_measured_grid(measure):
+    """Measuring a grid binds it for good to a copy: a view taken before
+    writes only the old array, and the occupancy cannot be rebound, so the
+    ESDF, the summed-volume table and the rays still read one map."""
+    grid = OccupancyGrid.empty(0.1, (10, 10, 1))
+    layer = grid.occupancy[:, :, 0]
+    measure(grid)
+    layer[5, 5] = True
+    assert not grid.occupancy.any()
+    with pytest.raises(AttributeError):
+        grid.occupancy = np.ones((10, 10, 1), dtype=bool)
+    assert not grid.occupancy.any()
+    assert grid.occupied_counts()[-1, -1, -1] == 0
+    assert build_esdf(grid, 5.0).distance[5, 5, 0] == 5.0
+    assert not raycast_occluded(grid, [0.05, 0.55, 0.0], [1.05, 0.55, 0.0])
