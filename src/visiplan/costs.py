@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -27,15 +26,15 @@ TRACKING_GATE_SPEED = 0.1  # full tracking-term strength above this speed
 
 @dataclass(frozen=True)
 class VisibilityParams:
-    """The camera's fixed visibility model; it takes no arguments. The
-    search's goal lies `standoff` from the target, mid-band."""
-    od_min: ClassVar[float] = 2.5       # observation-distance band (m)
-    od_max: ClassVar[float] = 3.5
-    rho: ClassVar[float] = 0.8          # confident-FOV ball radius ratio
-    m_balls: ClassVar[int] = 10         # balls per sight line, centered at:
-    ball_fractions: ClassVar[np.ndarray] = np.arange(1, m_balls + 1) / m_balls
+    """The camera's fixed visibility model; it takes no arguments."""
+    od_min = 2.5                # observation-distance band (m)
+    od_max = 3.5
+    rho = 0.8                   # confident-FOV ball radius ratio
+    m_balls = 10                # balls per sight line, centered at:
+    ball_fractions = np.arange(1, m_balls + 1) / m_balls
     ball_fractions.setflags(write=False)
-    standoff: ClassVar[float] = 0.5 * (od_min + od_max)
+    standoff = 0.5 * (od_min + od_max)      # the search's goal distance
+    echoed = ("od_min", "od_max", "rho", "m_balls")     # into report.json
 
 
 @dataclass(frozen=True)

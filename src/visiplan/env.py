@@ -268,10 +268,8 @@ class ESDFField:
         Component-major layout keeps every later operation contiguous.
         """
         g = self.grid
-        # a coordinate past the float range is clamped like any other
-        with np.errstate(over="ignore"):
-            u = np.subtract(pts.T, g.origin[:, None], order="C") \
-                / g.resolution - 0.5
+        u = np.subtract(pts.T, g.origin[:, None], order="C") / g.resolution \
+            - 0.5
         uc = np.minimum(np.maximum(u, 0.0), self._hi)
         # on a single-cell axis uc and i0 are both 0, so the offset is too
         i0 = np.minimum(np.floor(uc), self._i0_max)
@@ -295,10 +293,8 @@ class ESDFField:
         # the other two axes (lower axis first) and summed in corner order
         w = np.stack([w0, f], axis=1)                     # (3, 2, N)
         t = (c[_EDGE_HI] - c[_EDGE_LO]) * w[_INNER, None] * w[_OUTER, :, None]
-        # 1 / resolution is inf on a subnormal one; 0 * inf, masked below
-        with np.errstate(invalid="ignore"):
-            grad = (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1]) \
-                * (1.0 / self.grid.resolution)
+        grad = (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1]) \
+            * (1.0 / self.grid.resolution)
         grad[(u < 0.0) | (u > self._hi)] = 0.0
         return grad.T
 
@@ -309,16 +305,21 @@ class ESDFField:
         keeps the field total (and flat) outside the map.
         """
         pts = np.asarray(p, dtype=np.float64)
-        c, f, _ = self._lattice(pts.reshape(-1, 3))
+        # a coordinate past the float range is clamped like any other
+        with np.errstate(over="ignore"):
+            c, f, _ = self._lattice(pts.reshape(-1, 3))
         val = self._value(c, f, 1 - f)
         return float(val[0]) if pts.ndim == 1 else val
 
     def distance_and_gradient(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Value and gradient in one pass (one corner gather)."""
         pts = np.asarray(p, dtype=np.float64).reshape(-1, 3)
-        c, f, u = self._lattice(pts)
-        w0 = 1 - f
-        return self._value(c, f, w0), self._gradient(c, f, w0, u)
+        # as in distance_at; and on a subnormal resolution 1 / resolution is
+        # inf, so 0 * inf reaches entries that the out-of-box mask zeroes
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, f, u = self._lattice(pts)
+            w0 = 1 - f
+            return self._value(c, f, w0), self._gradient(c, f, w0, u)
 
 
 # Corner rows (x fastest, as in ESDFField._corners) for the gradient: entry

@@ -43,11 +43,12 @@ HEURISTIC_WEIGHT = 2.5
 # keeps equal-duration paths ordered by control effort
 EFFORT_WEIGHT = 0.25
 COLLISION_SAMPLES = 5                  # clearance samples per primitive
-# the primitives' accelerations as fractions of a_m, x slowest, in 3D and
-# planar (its rows with z at 0); and the clearance sample times
+# accelerations in units of a_m (x slowest; planar: z at 0), sample times
 _SPATIAL_ACCELS = np.array(list(product(ACCEL_FRACTIONS, repeat=3)))
 _PLANAR_ACCELS = _SPATIAL_ACCELS[_SPATIAL_ACCELS[:, 2] == 0.0]
 _SAMPLE_TIMES = np.linspace(0.0, TAU, COLLISION_SAMPLES)
+for _table in (_SPATIAL_ACCELS, _PLANAR_ACCELS, _SAMPLE_TIMES):
+    _table.setflags(write=False)        # shared by every search
 GOAL_TOLERANCE = 0.5                   # radial slack of the goal annulus
 # cost per second per meter of gap to the follow point (the predicted target
 # offset by the standoff along the initial bearing). Keeps progress paced

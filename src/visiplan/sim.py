@@ -95,6 +95,7 @@ _WALK_START_HOLD = 0.5          # seconds the walker waits at its start
 _WALK_MAX_TRIES = 200           # candidate legs before giving up
 _WALK_MAX_LEGS = 10_000         # legs of the shortest length a walk may need
 _WALK_LEG_SAMPLES = np.linspace(0, 1, 24)[:, None]   # clearance, along a leg
+_WALK_LEG_SAMPLES.setflags(write=False)
 
 
 def random_target_script(rng: Rng, esdf: ESDFField,
@@ -290,8 +291,7 @@ class Scenario:
             "fov_v_half_rad": self.fov_v_half,
             "weights": dataclasses.asdict(self.effective_weights()),
             "limits": dataclasses.asdict(self.limits),
-            "params": {k: getattr(self.params, k)
-                       for k in ("od_min", "od_max", "rho", "m_balls")},
+            "params": {k: getattr(self.params, k) for k in self.params.echoed},
         }
 
 

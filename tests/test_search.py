@@ -218,3 +218,13 @@ def test_package_attribute_is_the_search_module():
     assert module is sys.modules["visiplan.search"]
     assert visiplan.search is module
     assert module.SearchConfig is SearchConfig
+
+
+@pytest.mark.parametrize("name", ["_SPATIAL_ACCELS", "_PLANAR_ACCELS",
+                                  "_SAMPLE_TIMES"])
+def test_shared_tables_are_read_only(name):
+    """Every search reads one table built at import; none can write it."""
+    import visiplan.search as module
+    table = getattr(module, name)
+    with pytest.raises(ValueError):
+        table[0] = 1.0

@@ -86,6 +86,11 @@ class TestWaypointScript:
 
 
 class TestRandomTarget:
+    def test_leg_samples_are_read_only(self):
+        """Every walk reads one table built at import; none can write it."""
+        with pytest.raises(ValueError):
+            sim._WALK_LEG_SAMPLES[0] = 1.0
+
     def test_deterministic_and_clear(self):
         grid = generate_random_forest(3, (15, 15), 8, (0.3, 0.6),
                                       keep_clear=[[2, 7.5, 0]])
